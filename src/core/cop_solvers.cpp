@@ -674,33 +674,70 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
     return;
   }
 
-  // Sort instances by num_spins (stable, so same-shape batches — the
-  // DALTA case, where all P candidates share the r x c shape — keep input
-  // order), then carve chunks of at most `pack` members. Sizes may mix
-  // inside a chunk: the engine pads smaller members with inert spins, and
-  // admitting the next (sorted, so largest-so-far) instance is allowed as
-  // long as the padded volume n_new^2 * count stays within 25% of the
-  // members' own sum of n^2 — a straggler size rides along instead of
-  // forcing its own under-filled pack, but never at more than 1.25x the
-  // force-pass flops the members would cost unpadded.
-  std::vector<std::size_t> order(cops.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&cops](std::size_t a, std::size_t b) {
-                     return cops[a].num_spins() < cops[b].num_spins();
-                   });
+  // One pack per pool participant: a non-nested call on a parallel context
+  // carves at least thread_count() packs (the most threads one parallel_for
+  // runs, caller included), and the pool runs them concurrently. A nested
+  // call runs inline, so splitting it further would only shrink its packs.
+  std::size_t min_packs = 1;
+  if (ctx.parallel() && !ThreadPool::in_parallel_region()) {
+    min_packs = ctx.pool().thread_count();
+  }
+  std::vector<std::size_t> sizes(cops.size());
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    sizes[i] = cops[i].num_spins();
+  }
+  const PackPlan plan = plan_packs(sizes, options_.pack, min_packs);
 
-  const std::size_t pack = std::max<std::size_t>(1, options_.pack);
-  struct Chunk {
-    std::size_t begin;
-    std::size_t end;
+  const PackEngineOptions engine_opts{options_.layout, options_.tile, false};
+  auto run_pack = [&](std::size_t p) {
+    solve_packed_chunk(
+        cops, ctx, seeds, out, stats,
+        std::span<const std::size_t>(plan.order.data() + plan.bounds[p],
+                                     plan.bounds[p + 1] - plan.bounds[p]),
+        options_.core, engine_opts);
   };
-  std::vector<Chunk> chunks;
-  for (std::size_t i = 0; i < order.size();) {
+
+  // Each pack's engine run is serial (members are tiny; SIMD across members
+  // does the intra-pack work), so packs are the natural unit for the pool.
+  // Members never interact, so how the batch is carved changes no result.
+  if (min_packs > 1 && plan.packs() > 1) {
+    ctx.pool().parallel_for(plan.packs(), run_pack);
+    return;
+  }
+  for (std::size_t p = 0; p < plan.packs(); ++p) {
+    run_pack(p);
+  }
+}
+
+PackPlan plan_packs(std::span<const std::size_t> num_spins, std::size_t pack,
+                    std::size_t min_packs) {
+  PackPlan plan;
+  plan.order.resize(num_spins.size());
+  std::iota(plan.order.begin(), plan.order.end(), std::size_t{0});
+  std::stable_sort(plan.order.begin(), plan.order.end(),
+                   [&num_spins](std::size_t a, std::size_t b) {
+                     return num_spins[a] < num_spins[b];
+                   });
+  plan.bounds.push_back(0);
+  if (num_spins.empty()) {
+    return plan;
+  }
+
+  // Size buckets: admit the next (sorted, so largest-so-far) instance while
+  // n_new^2 * count stays within 1.25x of the members' own sum of n^2.
+  struct Bucket {
+    std::size_t begin;
+    std::size_t size;
+    std::size_t packs;
+  };
+  const std::size_t cap = std::max<std::size_t>(1, pack);
+  std::vector<Bucket> buckets;
+  std::size_t total_packs = 0;
+  for (std::size_t i = 0; i < plan.order.size();) {
     std::size_t j = i;
     std::size_t own_volume = 0;
-    while (j < order.size() && j - i < pack) {
-      const std::size_t n = cops[order[j]].num_spins();
+    while (j < plan.order.size()) {
+      const std::size_t n = num_spins[plan.order[j]];
       const std::size_t padded = n * n * (j - i + 1);
       const std::size_t own = own_volume + n * n;
       if (j > i && padded * 4 > own * 5) {
@@ -709,33 +746,35 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
       own_volume = own;
       ++j;
     }
-    chunks.push_back({i, j});
+    buckets.push_back({i, j - i, (j - i + cap - 1) / cap});
+    total_packs += buckets.back().packs;
     i = j;
   }
 
-  const PackEngineOptions engine_opts{options_.layout, options_.tile, false};
-  auto run_chunk = [&](std::size_t c) {
-    const Chunk& chunk = chunks[c];
-    solve_packed_chunk(cops, ctx, seeds, out, stats,
-                       std::span<const std::size_t>(order.data() + chunk.begin,
-                                                    chunk.end - chunk.begin),
-                       options_.core, engine_opts);
-  };
+  const std::size_t target = std::min(num_spins.size(), min_packs);
+  while (total_packs < target) {
+    Bucket* fullest = nullptr;
+    for (Bucket& b : buckets) {
+      if (b.packs < b.size &&
+          (fullest == nullptr ||
+           b.size * fullest->packs > fullest->size * b.packs)) {
+        fullest = &b;
+      }
+    }
+    ++fullest->packs;
+    ++total_packs;
+  }
 
-  // Parallelism across whole packs: each chunk's engine run is serial
-  // (members are tiny; SIMD across members does the intra-pack work), so
-  // chunks are the natural unit for the pool. A nested call from inside a
-  // caller's parallel_for runs inline via the pool's nesting guard.
-  if (ctx.parallel() && chunks.size() > 1) {
-    ThreadPool& pool = ctx.pool();
-    if (pool.thread_count() > 1) {
-      pool.parallel_for(chunks.size(), run_chunk);
-      return;
+  for (const Bucket& b : buckets) {
+    const std::size_t base = b.size / b.packs;
+    const std::size_t extra = b.size % b.packs;
+    std::size_t at = b.begin;
+    for (std::size_t p = 0; p < b.packs; ++p) {
+      at += base + (p < extra ? 1 : 0);
+      plan.bounds.push_back(at);
     }
   }
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    run_chunk(c);
-  }
+  return plan;
 }
 
 ColumnSetting ExhaustiveCoreSolver::do_solve(const ColumnCop& cop,

@@ -180,6 +180,28 @@ class IsingCoreSolver final : public CoreCopSolver {
   Options options_;
 };
 
+/// How a packed solve_batch splits a batch: pack p holds the instances
+/// order[bounds[p]] .. order[bounds[p + 1] - 1].
+struct PackPlan {
+  std::vector<std::size_t> order;   // instance indices, ascending num_spins
+  std::vector<std::size_t> bounds;  // packs() + 1 entries, bounds[0] = 0
+
+  std::size_t packs() const { return bounds.empty() ? 0 : bounds.size() - 1; }
+};
+
+/// Carves instances of the given spin counts into packs. Instances are
+/// sorted by spin count (stable, so a same-shape batch keeps input order)
+/// and cut into size buckets: maximal runs whose padded volume
+/// n_max^2 * count stays within 1.25x of the members' own sum of n^2 (the
+/// engine pads smaller members with inert spins, so a straggler size rides
+/// along instead of forcing its own under-filled pack; any sub-run of a
+/// bucket keeps the cap). Each bucket gets ceil(size / pack) packs; while
+/// the total is below min(N, min_packs), the bucket with the most members
+/// per pack gains one. Every bucket is then split into its pack count with
+/// sizes within one member of each other.
+PackPlan plan_packs(std::span<const std::size_t> num_spins, std::size_t pack,
+                    std::size_t min_packs);
+
 /// Packed variant of IsingCoreSolver (registry spec `prop,pack=K,...`):
 /// one BsbPackEngine run advances up to `pack` independent core COPs at
 /// once (DESIGN.md §4.7), so DALTA's per-output-round batch of P tiny
@@ -191,15 +213,12 @@ class IsingCoreSolver final : public CoreCopSolver {
 /// restarts, warm incumbent, and final polish (see BsbPackEngine for the
 /// one budget-rescale caveat under positive time budgets).
 ///
-/// do_solve_batch sorts instances by num_spins (stable order) and carves
-/// them into chunks of at most `pack` members; neighboring sizes share a
-/// chunk (the engine pads smaller members with inert spins) as long as the
-/// padded volume stays within 25% of the members' own sum of n^2, so a
-/// straggler size no longer forces its own under-filled pack. When the
-/// context allows parallelism, whole chunks are distributed over
-/// ctx.pool(): parallelism across packs, SIMD across members, replicas
-/// inside the engine. Under `share_j` with restarts > 1, each instance
-/// instead becomes its own shared-model pack of restart attempts.
+/// do_solve_batch carves the batch with plan_packs(): at most `pack`
+/// members per pack, and — for a non-nested call on a parallel context —
+/// at least one pack per pool participant, so the pool runs one pack per
+/// thread: parallelism across packs, SIMD across members, replicas inside
+/// the engine. Under `share_j` with restarts > 1, each instance instead
+/// becomes its own shared-model pack of restart attempts.
 class PackedCoreCopSolver final : public CoreCopSolver {
  public:
   struct Options {
@@ -208,7 +227,8 @@ class PackedCoreCopSolver final : public CoreCopSolver {
     /// IsingCoreSolver with exactly these options per member.
     IsingCoreSolver::Options core{};
 
-    /// Maximum members per packed engine run (the K of `pack=K`).
+    /// Maximum members per packed engine run (the K of `pack=K`); batches
+    /// are split further so that every pool thread gets a pack.
     std::size_t pack = 16;
 
     /// Engine layout; kAuto picks slots at replicas <= 2, blocks above.

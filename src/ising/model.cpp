@@ -51,6 +51,19 @@ void IsingModel::add_coupling(std::size_t i, std::size_t j, double j_value) {
   if (j_value == 0.0) {
     return;
   }
+  if (finalized_) {
+    // finalize() released the triplets; restage the merged pairs from the
+    // CSR upper half (sorted (i, j) order, i < j) before accumulating.
+    triplets_.reserve(entries_.size() / 2 + 1);
+    for (std::size_t r = 0; r < n_; ++r) {
+      for (std::size_t e = row_start_[r]; e < row_start_[r + 1]; ++e) {
+        if (entries_[e].first > r) {
+          triplets_.push_back({static_cast<std::uint32_t>(r),
+                               entries_[e].first, entries_[e].second});
+        }
+      }
+    }
+  }
   triplets_.push_back({static_cast<std::uint32_t>(i),
                        static_cast<std::uint32_t>(j), j_value});
   finalized_ = false;
@@ -82,11 +95,16 @@ void IsingModel::finalize() {
   merged.erase(std::remove_if(merged.begin(), merged.end(),
                               [](const Triplet& t) { return t.value == 0.0; }),
                merged.end());
-  triplets_ = std::move(merged);
+  // The CSR below becomes the only coupling store: the raw triplets are
+  // freed here and the merged ones when this call returns.
+  triplets_ = std::vector<Triplet>();
 
-  // Build CSR with each edge stored in both rows.
+  // Build CSR with each edge stored in both rows. Walking the sorted
+  // triplets fills every row with its lower neighbours first and then its
+  // upper neighbours, both ascending, so the upper half of the rows (col > i)
+  // replays the triplet order exactly.
   std::vector<std::size_t> degree(n_, 0);
-  for (const auto& t : triplets_) {
+  for (const auto& t : merged) {
     ++degree[t.i];
     ++degree[t.j];
   }
@@ -96,7 +114,7 @@ void IsingModel::finalize() {
   }
   entries_.assign(row_start_[n_], {0, 0.0});
   std::vector<std::size_t> cursor(row_start_.begin(), row_start_.end() - 1);
-  for (const auto& t : triplets_) {
+  for (const auto& t : merged) {
     entries_[cursor[t.i]++] = {t.j, t.value};
     entries_[cursor[t.j]++] = {t.i, t.value};
   }
@@ -152,10 +170,14 @@ double IsingModel::energy(std::span<const std::int8_t> spins) const {
     linear += h_[i] * spins[i];
   }
   double quad = 0.0;
-  for (const auto& t : triplets_) {
-    quad += t.value * spins[t.i] * spins[t.j];
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
+      if (entries_[e].first > i) {
+        quad += entries_[e].second * spins[i] * spins[entries_[e].first];
+      }
+    }
   }
-  // Each unordered pair appears once in triplets_, so the 1/2 in Eq. (1)
+  // The upper half visits each unordered pair once, so the 1/2 in Eq. (1)
   // against the double-counted symmetric sum is already accounted for.
   return -linear - quad + constant_;
 }
@@ -202,14 +224,21 @@ double IsingModel::flip_delta(std::span<const std::int8_t> spins,
 }
 
 double IsingModel::coupling_rms() const {
-  if (triplets_.empty()) {
+  if (!finalized_) {
+    throw std::logic_error("IsingModel: finalize() before coupling_rms()");
+  }
+  if (entries_.empty()) {
     return 0.0;
   }
   double s = 0.0;
-  for (const auto& t : triplets_) {
-    s += t.value * t.value;
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
+      if (entries_[e].first > i) {
+        s += entries_[e].second * entries_[e].second;
+      }
+    }
   }
-  return std::sqrt(s / static_cast<double>(triplets_.size()));
+  return std::sqrt(s / static_cast<double>(entries_.size() / 2));
 }
 
 std::span<const std::pair<std::uint32_t, double>> IsingModel::neighbors(

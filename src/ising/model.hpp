@@ -19,9 +19,11 @@ namespace adsd {
 /// on.
 ///
 /// Couplings are accumulated as triplets and compacted into CSR by
-/// `finalize()`; solvers require a finalized model. Problem instances in
-/// this library are sparse (the core COP is bipartite between T-spins and
-/// V-spins), so CSR keeps the bSB inner loop linear in the edge count.
+/// `finalize()`, which then frees the triplets: a finalized model stores its
+/// couplings once, in the CSR. Solvers require a finalized model. Problem
+/// instances in this library are sparse (the core COP is bipartite between
+/// T-spins and V-spins), so CSR keeps the bSB inner loop linear in the edge
+/// count.
 class IsingModel {
  public:
   explicit IsingModel(std::size_t num_spins);
@@ -33,17 +35,25 @@ class IsingModel {
   double bias(std::size_t i) const { return h_[i]; }
 
   /// Accumulates J_{i,j} += j_value (and symmetrically J_{j,i}).
-  /// Precondition: i != j.
+  /// Precondition: i != j. On a finalized model the merged couplings are
+  /// first restaged from the CSR, so a later finalize() sees them all.
   void add_coupling(std::size_t i, std::size_t j, double j_value);
 
   double constant() const { return constant_; }
   void set_constant(double c) { constant_ = c; }
   void add_constant(double dc) { constant_ += dc; }
 
-  /// Merges duplicate couplings and builds the CSR adjacency. Idempotent;
-  /// adding couplings afterwards requires another finalize().
+  /// Merges duplicate couplings, builds the CSR adjacency and frees the
+  /// triplet staging. Idempotent; adding couplings afterwards requires
+  /// another finalize().
   void finalize();
   bool finalized() const { return finalized_; }
+
+  /// Bytes held by the triplet staging of not yet finalized couplings;
+  /// zero once finalize() has run.
+  std::size_t staging_bytes() const {
+    return triplets_.capacity() * sizeof(Triplet);
+  }
 
   /// Number of distinct unordered coupled pairs (after finalize()).
   std::size_t num_couplings() const;
@@ -63,7 +73,8 @@ class IsingModel {
   double flip_delta(std::span<const std::int8_t> spins, std::size_t i) const;
 
   /// Root-mean-square coupling magnitude over distinct pairs; used for the
-  /// standard bSB coupling-strength normalization c0. Zero if no couplings.
+  /// standard bSB coupling-strength normalization c0. Zero if no couplings
+  /// (requires finalize()).
   double coupling_rms() const;
 
   /// Neighbors of spin i as (index, J) pairs (requires finalize()).

@@ -96,8 +96,11 @@ void ThreadPool::run_job(Job& job) {
     }
   }
   g_active_participants.fetch_sub(1, std::memory_order_relaxed);
+  // Check-in and notify form one critical section: the caller can only
+  // observe done == tasks under done_mutex, so it cannot return and release
+  // the stack-allocated Job while this participant still touches it.
+  std::lock_guard<std::mutex> lock(job.done_mutex);
   if (job.done.fetch_add(1) + 1 == job.tasks) {
-    std::lock_guard<std::mutex> lock(job.done_mutex);
     job.done_cv.notify_all();
   }
 }
@@ -130,9 +133,10 @@ void ThreadPool::parallel_for_chunks(
   job.n = n;
   job.grain = grain;
   job.body = &body;
-  // The calling thread takes one participant slot, so only tasks - 1
-  // pointers are queued; the Job outlives them because this call blocks
-  // until every participant has checked in.
+  // At most thread_count() participants, the calling thread included: it
+  // takes one slot, so only tasks - 1 pointers are queued and one worker
+  // stays parked. The Job outlives them because this call blocks until
+  // every participant has checked in.
   job.tasks = std::min(workers_.size(), chunks);
 
   std::size_t queue_depth = 0;

@@ -20,11 +20,13 @@ namespace adsd {
 /// multi-core testbed.
 ///
 /// Scheduling: each parallel-for call creates one stack-allocated Job and
-/// enqueues a fixed number of pointers to it (at most one per worker), so
-/// dispatch cost is independent of the item count — no per-index
-/// std::function allocation. Participants (workers plus the calling thread)
-/// drain grain-sized index chunks from a shared atomic cursor, so uneven
-/// per-item costs still balance dynamically.
+/// enqueues min(thread_count(), chunks) - 1 pointers to it, so dispatch cost
+/// is independent of the item count — no per-index std::function
+/// allocation. The calling thread is one of the participants, so a call
+/// runs at most min(thread_count(), chunks) threads at once; with
+/// chunks >= thread_count() one worker stays parked. Participants drain
+/// grain-sized index chunks from a shared atomic cursor, so uneven per-item
+/// costs still balance dynamically.
 ///
 /// Nesting safety: a parallel-for issued from inside a running chunk body
 /// (of any pool) executes its chunks inline on the calling thread instead
@@ -42,6 +44,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Worker count, which is also the most threads one parallel-for runs
+  /// at once (the calling thread included).
   std::size_t thread_count() const { return workers_.size(); }
 
   /// Runs `body(i)` for every i in [0, n), blocking until all complete.

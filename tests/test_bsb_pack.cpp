@@ -15,8 +15,10 @@
 #include "ising/bsb_batch.hpp"
 #include "ising/bsb_pack.hpp"
 #include "ising/model.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
+#include "support/thread_pool.hpp"
 
 namespace adsd {
 namespace {
@@ -492,11 +494,12 @@ TEST(BsbPack, RejectsBadArguments) {
 
 // ------------------------------------------------- packed core COP solver
 
-ColumnCop benchmark_cop(unsigned output, unsigned shift = 0) {
+ColumnCop benchmark_cop(unsigned output, unsigned shift = 0,
+                        unsigned free_size = 4) {
   const TruthTable tt = make_benchmark_table("exp", 9, 7);
   const InputDistribution dist = InputDistribution::uniform(9);
   Rng rng(77 + shift);
-  const InputPartition w = InputPartition::random(9, 4, rng);
+  const InputPartition w = InputPartition::random(9, free_size, rng);
   const BooleanMatrix matrix = BooleanMatrix::from_function(tt, output, w);
   const std::vector<double> probs = matrix_probs(dist, w);
   return ColumnCop::separate(matrix, probs);
@@ -584,6 +587,184 @@ TEST(PackedCoreCopSolver, UnbatchedSolverBatchEqualsLoop) {
   }
   EXPECT_THROW(solver->solve_batch(cops, ctx, std::vector<std::uint64_t>{1}),
                std::invalid_argument);
+}
+
+// ------------------------------------------ carving a batch over the pool
+
+std::vector<ColumnCop> same_shape_batch(std::size_t count) {
+  std::vector<ColumnCop> cops;
+  for (unsigned k = 0; k < count; ++k) {
+    cops.push_back(benchmark_cop(k % 7, k));
+  }
+  return cops;
+}
+
+std::vector<std::uint64_t> batch_seeds(std::size_t count) {
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < count; ++i) {
+    seeds.push_back(500 + 31 * i);
+  }
+  return seeds;
+}
+
+RunContext pooled_context(std::size_t threads, bool metrics = false) {
+  RunContext::Options opts;
+  opts.seed = 7;
+  opts.threads = threads;
+  opts.metrics = metrics;
+  return RunContext(opts);
+}
+
+/// Every member of `batch` equals the looped plain `prop` solve.
+void expect_matches_looped(std::span<const ColumnCop> cops,
+                           std::span<const std::uint64_t> seeds,
+                           const std::vector<ColumnSetting>& batch,
+                           const std::vector<CoreSolveStats>& stats,
+                           const std::string& label) {
+  const auto plain = SolverRegistry::global().make_from_spec("prop,n=9");
+  const RunContext ctx(std::uint64_t{7});
+  ASSERT_EQ(batch.size(), cops.size()) << label;
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    CoreSolveStats ref_stats;
+    const ColumnSetting ref = plain->solve(cops[i], ctx, seeds[i], &ref_stats);
+    EXPECT_TRUE(ref.v1 == batch[i].v1 && ref.v2 == batch[i].v2 &&
+                ref.t == batch[i].t)
+        << label << " instance " << i;
+    EXPECT_EQ(ref_stats.objective, stats[i].objective) << label << " " << i;
+    EXPECT_EQ(ref_stats.iterations, stats[i].iterations) << label << " " << i;
+    EXPECT_EQ(ref_stats.stopped_early, stats[i].stopped_early)
+        << label << " " << i;
+  }
+}
+
+TEST(PackPlan, SameShapeBatchSplitsEvenlyAcrossParticipants) {
+  const std::vector<std::size_t> sizes(16, 64);
+  auto pack_sizes = [&](std::size_t pack, std::size_t min_packs) {
+    const PackPlan plan = plan_packs(sizes, pack, min_packs);
+    std::vector<std::size_t> out;
+    for (std::size_t p = 0; p < plan.packs(); ++p) {
+      out.push_back(plan.bounds[p + 1] - plan.bounds[p]);
+    }
+    return out;
+  };
+  using V = std::vector<std::size_t>;
+  EXPECT_EQ(pack_sizes(16, 1), V({16}));
+  EXPECT_EQ(pack_sizes(16, 3), V({6, 5, 5}));
+  EXPECT_EQ(pack_sizes(16, 4), V({4, 4, 4, 4}));
+  EXPECT_EQ(pack_sizes(5, 1), V({4, 4, 4, 4}));  // pack=K stays a cap
+  EXPECT_EQ(pack_sizes(5, 2), V({4, 4, 4, 4}));
+  EXPECT_EQ(pack_sizes(16, 40), V(16, 1));      // never below one member
+  EXPECT_EQ(plan_packs({}, 16, 4).packs(), 0u);
+}
+
+TEST(PackPlan, MixedSizesKeepPaddedVolumeCapAfterCarving) {
+  // Neighbouring sizes that share a bucket, a straggler, and sizes far
+  // enough apart to need their own buckets.
+  const std::vector<std::size_t> sizes = {64, 40, 64, 66, 130, 40, 64, 72,
+                                          40, 64, 131, 66, 40, 72, 64, 40,
+                                          200, 64, 40, 66};
+  for (const std::size_t pack : {1u, 3u, 4u, 16u, 64u}) {
+    for (const std::size_t min_packs : {1u, 2u, 3u, 4u, 8u, 32u}) {
+      const PackPlan plan = plan_packs(sizes, pack, min_packs);
+      std::vector<std::size_t> seen = plan.order;
+      std::sort(seen.begin(), seen.end());
+      for (std::size_t i = 0; i < seen.size(); ++i) {
+        ASSERT_EQ(seen[i], i);
+      }
+      ASSERT_EQ(plan.bounds.front(), 0u);
+      ASSERT_EQ(plan.bounds.back(), sizes.size());
+      EXPECT_GE(plan.packs(), std::min(sizes.size(), min_packs));
+      for (std::size_t p = 0; p < plan.packs(); ++p) {
+        const std::size_t count = plan.bounds[p + 1] - plan.bounds[p];
+        ASSERT_GE(count, 1u);
+        EXPECT_LE(count, pack);
+        std::size_t own = 0;
+        std::size_t widest = 0;
+        for (std::size_t k = plan.bounds[p]; k < plan.bounds[p + 1]; ++k) {
+          const std::size_t n = sizes[plan.order[k]];
+          own += n * n;
+          widest = std::max(widest, n);
+          if (k > plan.bounds[p]) {
+            EXPECT_LE(sizes[plan.order[k - 1]], n);
+          }
+        }
+        EXPECT_LE(widest * widest * count * 4, own * 5)
+            << "pack=" << pack << " min_packs=" << min_packs << " pack #" << p;
+      }
+    }
+  }
+}
+
+TEST(PackedCoreCopSolver, CarvedBatchBitIdenticalAcrossPoolSizes) {
+  const std::vector<ColumnCop> cops = same_shape_batch(16);
+  const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const RunContext ctx = pooled_context(threads);
+    std::vector<CoreSolveStats> stats;
+    const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
+    expect_matches_looped(cops, seeds, batch, stats,
+                          std::to_string(threads) + " workers");
+  }
+}
+
+TEST(PackedCoreCopSolver, NonNestedBatchDispatchesThroughPool) {
+  const std::vector<ColumnCop> cops = same_shape_batch(16);
+  const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
+  const RunContext ctx = pooled_context(4, /*metrics=*/true);
+  MetricsRegistry& m = MetricsRegistry::global();
+  const std::uint64_t jobs = m.counter("thread_pool_jobs_total").value();
+  const std::uint64_t inline_runs =
+      m.counter("thread_pool_inline_runs_total").value();
+  std::vector<CoreSolveStats> stats;
+  const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
+  EXPECT_GT(m.counter("thread_pool_jobs_total").value(), jobs);
+  EXPECT_EQ(m.counter("thread_pool_inline_runs_total").value(), inline_runs);
+  expect_matches_looped(cops, seeds, batch, stats, "pooled");
+}
+
+TEST(PackedCoreCopSolver, NestedBatchStaysInlineAndBitIdentical) {
+  const std::vector<ColumnCop> cops = same_shape_batch(16);
+  const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
+  const RunContext ctx = pooled_context(4, /*metrics=*/true);
+  MetricsRegistry& m = MetricsRegistry::global();
+  const std::uint64_t jobs = m.counter("thread_pool_jobs_total").value();
+  std::vector<std::vector<ColumnSetting>> batches(2);
+  std::vector<std::vector<CoreSolveStats>> stats(2);
+  ctx.pool().parallel_for(2, [&](std::size_t k) {
+    ASSERT_TRUE(ThreadPool::in_parallel_region());
+    batches[k] = packed->solve_batch(cops, ctx, seeds, &stats[k]);
+  });
+  // Only the outer call became a pool job; the nested batches ran inline.
+  EXPECT_EQ(m.counter("thread_pool_jobs_total").value(), jobs + 1);
+  for (std::size_t k = 0; k < 2; ++k) {
+    expect_matches_looped(cops, seeds, batches[k], stats[k],
+                          "nested #" + std::to_string(k));
+  }
+}
+
+TEST(PackedCoreCopSolver, MixedSizeBatchCarvedOverPoolMatchesLooped) {
+  std::vector<ColumnCop> cops;
+  for (unsigned k = 0; k < 12; ++k) {
+    cops.push_back(benchmark_cop(k % 7, 40 + k, 3 + k % 3));
+  }
+  std::set<std::size_t> distinct;
+  for (const ColumnCop& cop : cops) {
+    distinct.insert(cop.num_spins());
+  }
+  ASSERT_GE(distinct.size(), 2u);
+  const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
+  const RunContext ctx = pooled_context(4);
+  std::vector<CoreSolveStats> stats;
+  const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
+  expect_matches_looped(cops, seeds, batch, stats, "mixed sizes");
 }
 
 // ----------------------------------------------------- registry spec keys

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 
 #include "ising/bsb.hpp"
 #include "ising/exhaustive.hpp"
@@ -146,6 +148,157 @@ TEST(IsingModel, ZeroCouplingsDropped) {
   m.add_coupling(0, 1, -0.5);  // cancels to zero
   m.finalize();
   EXPECT_EQ(m.num_couplings(), 0u);
+}
+
+// -------------------------------------------- triplet release on finalize
+
+struct Pair {
+  std::size_t i;
+  std::size_t j;
+  double value;
+};
+
+/// Distinct random pairs (no duplicates, so merging sums nothing and the
+/// reference below is exact), each added in a random orientation and order.
+std::vector<Pair> random_pairs(std::size_t n, double density, Rng& rng) {
+  std::vector<Pair> pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rng.next_double() < density) {
+        pairs.push_back({i, j, rng.next_double(-1.0, 1.0)});
+      }
+    }
+  }
+  const std::vector<std::size_t> perm = rng.permutation(pairs.size());
+  std::vector<Pair> shuffled;
+  for (const std::size_t k : perm) {
+    Pair p = pairs[k];
+    if (rng.next_bool()) {
+      std::swap(p.i, p.j);
+    }
+    shuffled.push_back(p);
+  }
+  return shuffled;
+}
+
+TEST(IsingModelStorage, SumsMatchTripletOrderReferenceBitForBit) {
+  Rng rng(2024);
+  for (const std::size_t n : {2u, 7u, 33u, 192u}) {
+    const std::vector<Pair> pairs = random_pairs(n, 0.4, rng);
+    IsingModel m(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      m.set_bias(i, rng.next_double(-1.0, 1.0));
+    }
+    m.set_constant(0.375);
+    for (const Pair& p : pairs) {
+      m.add_coupling(p.i, p.j, p.value);
+    }
+    m.finalize();
+
+    // The pre-release evaluation: canonical (min, max) pairs in sorted
+    // order, one term each.
+    std::vector<Pair> ref = pairs;
+    for (Pair& p : ref) {
+      if (p.i > p.j) {
+        std::swap(p.i, p.j);
+      }
+    }
+    std::sort(ref.begin(), ref.end(), [](const Pair& a, const Pair& b) {
+      return std::tie(a.i, a.j) < std::tie(b.i, b.j);
+    });
+    ASSERT_EQ(m.num_couplings(), ref.size());
+    double sq = 0.0;
+    for (const Pair& p : ref) {
+      sq += p.value * p.value;
+    }
+    const double rms =
+        ref.empty() ? 0.0 : std::sqrt(sq / static_cast<double>(ref.size()));
+    EXPECT_EQ(m.coupling_rms(), rms) << "n " << n;
+
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::int8_t> s(n);
+      for (auto& v : s) {
+        v = static_cast<std::int8_t>(rng.next_spin());
+      }
+      double linear = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        linear += m.bias(i) * s[i];
+      }
+      double quad = 0.0;
+      for (const Pair& p : ref) {
+        quad += p.value * s[p.i] * s[p.j];
+      }
+      EXPECT_EQ(m.energy(s), -linear - quad + 0.375) << "n " << n;
+    }
+  }
+}
+
+TEST(IsingModelStorage, AddAfterFinalizeMatchesOnePassBuild) {
+  Rng rng(99);
+  const std::size_t n = 24;
+  const std::vector<Pair> first = random_pairs(n, 0.3, rng);
+  ASSERT_GE(first.size(), 2u);
+  // Pair 0 is re-weighted (a two-term sum, exact in either order), pair 1
+  // cancelled to zero, and one absent pair added.
+  std::vector<Pair> second = {{first[0].j, first[0].i, 0.25}};
+  for (std::size_t j = 1; second.size() == 1; ++j) {
+    const bool present =
+        std::any_of(first.begin(), first.end(), [j](const Pair& p) {
+          return std::min(p.i, p.j) == 0 && std::max(p.i, p.j) == j;
+        });
+    if (!present) {
+      second.push_back({j, 0, -0.5});
+    }
+  }
+  IsingModel one_pass(n);
+  IsingModel staged(n);
+  for (const Pair& p : first) {
+    one_pass.add_coupling(p.i, p.j, p.value);
+    staged.add_coupling(p.i, p.j, p.value);
+  }
+  // Exactly cancel pair 1 in both builds.
+  one_pass.add_coupling(first[1].i, first[1].j, -first[1].value);
+  staged.finalize();
+  staged.add_coupling(first[1].j, first[1].i, -first[1].value);
+  for (const Pair& p : second) {
+    one_pass.add_coupling(p.i, p.j, p.value);
+    staged.add_coupling(p.i, p.j, p.value);
+  }
+  EXPECT_FALSE(staged.finalized());
+  one_pass.finalize();
+  staged.finalize();
+
+  ASSERT_EQ(staged.num_couplings(), one_pass.num_couplings());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto a = one_pass.neighbors(i);
+    const auto b = staged.neighbors(i);
+    ASSERT_EQ(a.size(), b.size()) << "row " << i;
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      EXPECT_EQ(a[e].first, b[e].first) << "row " << i;
+      EXPECT_EQ(a[e].second, b[e].second) << "row " << i;
+    }
+  }
+  EXPECT_EQ(staged.coupling_rms(), one_pass.coupling_rms());
+}
+
+TEST(IsingModelStorage, FinalizedModelHoldsNoTriplets) {
+  IsingModel m(4);
+  EXPECT_EQ(m.staging_bytes(), 0u);
+  m.add_coupling(0, 1, 1.0);
+  m.add_coupling(2, 3, -2.0);
+  EXPECT_GT(m.staging_bytes(), 0u);
+  EXPECT_THROW((void)m.coupling_rms(), std::logic_error);
+  m.finalize();
+  EXPECT_EQ(m.staging_bytes(), 0u);
+  m.add_coupling(1, 2, 0.5);
+  EXPECT_GT(m.staging_bytes(), 0u);
+  m.finalize();
+  EXPECT_EQ(m.staging_bytes(), 0u);
+  EXPECT_EQ(m.num_couplings(), 3u);
+  // A zero coupling is a no-op: the model stays finalized, nothing staged.
+  m.add_coupling(0, 3, 0.0);
+  EXPECT_TRUE(m.finalized());
+  EXPECT_EQ(m.staging_bytes(), 0u);
 }
 
 // ------------------------------------------------------------------ QUBO

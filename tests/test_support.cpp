@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "support/bitvec.hpp"
 #include "support/cli.hpp"
@@ -435,6 +439,65 @@ TEST(ThreadPool, ConfigureSharedResizesPool) {
   EXPECT_EQ(n.load(), 20);
   ThreadPool::configure_shared(0);  // restore default for other tests
   EXPECT_GT(ThreadPool::shared().thread_count(), 0u);
+}
+
+TEST(ThreadPool, BackToBackCallsFromOneFrameReuseTheJobSlot) {
+  // Every call places its Job at the same stack address. A participant that
+  // still touched the previous Job after the caller returned would race with
+  // the next call's construction (ASan/TSan report it; see CI).
+  ThreadPool pool(4);
+  std::size_t total = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::atomic<std::size_t> sum{0};
+    pool.parallel_for_chunks(8, 1, [&](std::size_t b, std::size_t e) {
+      sum.fetch_add(e - b);
+    });
+    total += sum.load();
+  }
+  EXPECT_EQ(total, 2000u * 8u);
+}
+
+TEST(ThreadPool, ParticipantsCappedAtThreadCountCallerIncluded) {
+  // At most min(thread_count(), chunks) threads run one parallel-for, the
+  // calling thread among them. Each chunk body waits (bounded) until that
+  // many participants are inside, so the cap is both reached and observed.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t chunks : {1u, 2u, 3u, 4u, 16u}) {
+      const std::size_t expected = std::min(threads, chunks);
+      std::atomic<std::size_t> active{0};
+      std::atomic<std::size_t> peak{0};
+      std::atomic<bool> reached{false};
+      std::mutex ids_mutex;
+      std::vector<std::thread::id> ids;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      pool.parallel_for_chunks(chunks, 1, [&](std::size_t, std::size_t) {
+        {
+          std::lock_guard<std::mutex> lock(ids_mutex);
+          const auto id = std::this_thread::get_id();
+          if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
+            ids.push_back(id);
+          }
+        }
+        const std::size_t now = active.fetch_add(1) + 1;
+        std::size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        if (now >= expected) {
+          reached.store(true);
+        }
+        while (!reached.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        active.fetch_sub(1);
+      });
+      EXPECT_EQ(peak.load(), expected)
+          << threads << " threads, " << chunks << " chunks";
+      EXPECT_EQ(ids.size(), expected)
+          << threads << " threads, " << chunks << " chunks";
+    }
+  }
 }
 
 // ------------------------------------------------------------------- CLI

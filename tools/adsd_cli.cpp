@@ -27,7 +27,9 @@
 //                           the kernel config key; default auto)
 //         --pack <K>        pack up to K candidate solves per force pass
 //                           (prop solver; shorthand for the pack config
-//                           key; results are bit-identical to unpacked)
+//                           key; a batch is split so that every pool
+//                           thread gets a pack; results are bit-identical
+//                           to unpacked)
 //         --threads <t>     worker threads for the partition fan-out
 //                           (>= 1; default: hardware concurrency)
 //         --telemetry <file>  write the run's telemetry report as JSON
@@ -223,7 +225,7 @@ int cmd_list_solvers() {
       // so `list-solvers` is enough to write a valid spec.
       std::string shown = k;
       if (k == "pack") {
-        shown = "pack=<K>";
+        shown = "pack=<max K>";
       } else if (k == "pack-layout") {
         shown = "pack-layout=auto|slots|blocks";
       } else if (k == "pack-tile") {
@@ -248,7 +250,8 @@ int cmd_list_solvers() {
        kernels::selectable_force_kernels(/*dense_available=*/true)) {
     std::cout << " " << kernels::force_kernel_name(k);
   }
-  std::cout << "\n";
+  std::cout << "\npack=<max K> caps the members of one packed force pass; "
+               "a batch is split so that every pool thread gets a pack\n";
   return 0;
 }
 
