@@ -349,7 +349,7 @@ BENCHMARK(BM_TinySolveLooped)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TinySolvePacked(benchmark::State& state) {
-  // The same K solves through one BsbPackEngine run (slot layout at R = 1):
+  // The same K solves through one BsbPackEngine run:
   // engine construction included, since building the per-slot planes is
   // part of the packed path's real cost. Results are bit-identical to the
   // looped runs above (tests/test_bsb_pack.cpp), so the ratio is pure
@@ -372,53 +372,6 @@ void BM_TinySolvePacked(benchmark::State& state) {
 }
 BENCHMARK(BM_TinySolvePacked)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TinySolveSharedLooped(benchmark::State& state) {
-  // K restart attempts of ONE tiny instance the pre-packing way: K
-  // sequential BsbBatchEngine solves with distinct seeds (the restart
-  // loop of the core-COP solver before pack-share-j).
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const IsingModel model = make_cop(9, 4, 100).to_ising();
-  SbParams params;
-  params.max_iterations = 200;
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t m = 0; m < k; ++m) {
-      SbParams p = params;
-      p.seed = 900 + m;
-      BsbBatchEngine engine(model, p, 1);
-      acc += engine.run().energy;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(k) * 200);
-}
-BENCHMARK(BM_TinySolveSharedLooped)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_TinySolveSharedPacked(benchmark::State& state) {
-  // The same K attempts as one shared-J pack: every slot references the
-  // same IsingModel, so the engine stores one weight per union edge and
-  // runs the broadcast-weight kernels. Attempt results stay bit-identical
-  // to the looped solves above.
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const IsingModel model = make_cop(9, 4, 100).to_ising();
-  SbParams params;
-  params.max_iterations = 200;
-  std::vector<PackMember> members;
-  for (std::size_t m = 0; m < k; ++m) {
-    members.push_back({&model, 900 + m, {}});
-  }
-  const PackEngineOptions options{PackLayout::kAuto, 0, /*share_j=*/true};
-  for (auto _ : state) {
-    BsbPackEngine engine(members, params, 1, options);
-    const auto results = engine.run();
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(k) * 200);
-}
-BENCHMARK(BM_TinySolveSharedPacked)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_EngineSolve(benchmark::State& state, const char* spec) {
   // Full registry-built COP solves on the n = 9 core COP (64 spins), one
@@ -738,20 +691,6 @@ int main(int argc, char** argv) {
         report.add_derived(std::string("packed_solve_speedup_k") + k,
                            looped->second / packed->second, "max", true,
                            "single-thread ratio, R=1, 64-spin instances");
-      }
-    }
-    // Shared-J packed restart speedup: 64 restart attempts of ONE 64-spin
-    // instance as a broadcast-weight pack vs the looped standalone solves
-    // of the same seeds. Single-thread ratio, valid anywhere.
-    {
-      const auto looped = secs.find("BM_TinySolveSharedLooped/64");
-      const auto packed = secs.find("BM_TinySolveSharedPacked/64");
-      if (looped != secs.end() && packed != secs.end() &&
-          packed->second > 0.0) {
-        report.add_derived("packed_shared_j_speedup_k64",
-                           looped->second / packed->second, "max", true,
-                           "single-thread ratio, R=1, 64 restart attempts "
-                           "of one 64-spin instance");
       }
     }
     // Named full-solve records for the unified engine layer (microsecond-

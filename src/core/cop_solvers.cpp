@@ -198,7 +198,7 @@ double polish_and_score(const ColumnCop& cop, const RunContext& ctx,
 
 /// The full bSB core solve (Theorem-3 feedback, warm incumbent, restarts,
 /// final polish) as a free function, so IsingCoreSolver::do_solve and
-/// PackedCoreCopSolver's single-instance path share one implementation.
+/// PackedCoreCopSolver's unpacked paths share one implementation.
 ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
                                std::uint64_t seed, CoreSolveStats* stats,
                                const IsingCoreSolver::Options& options) {
@@ -353,8 +353,7 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
                         std::span<ColumnSetting> out,
                         std::span<CoreSolveStats> stats,
                         std::span<const std::size_t> members,
-                        const IsingCoreSolver::Options& options,
-                        const PackEngineOptions& engine_opts) {
+                        const IsingCoreSolver::Options& options) {
   const std::size_t M = members.size();
   if (M == 1) {
     const std::size_t idx = members[0];
@@ -407,7 +406,7 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
         pack[m].initial_positions = ms[m].warm.positions;
       }
     }
-    BsbPackEngine engine(pack, options.sb, replicas, engine_opts);
+    BsbPackEngine engine(pack, options.sb, replicas);
     engine.set_context(&ctx);
     const std::vector<IsingSolveResult> results = engine.run(pack_hook);
 
@@ -441,82 +440,6 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
     stats[idx].stopped_early = ms[m].any_early;
     stats[idx].proven_optimal = false;
   }
-}
-
-/// Shared-J restart packing (Options::share_j): the `restarts` attempts of
-/// ONE instance run as members of a single shared-model pack on the
-/// broadcast-weight kernels — one n x n coupling plane instead of one per
-/// attempt. Bit-identical to the sequential restart loop of
-/// ising_core_solve: same per-attempt seeds (seed + attempt * 0x9e3779b9),
-/// warm start on attempt 0 only, one shared Theorem-3 closure (its
-/// captures are pure per-call scratch), ascending-attempt strict-less best
-/// selection. One intentional difference: the sequential loop skips the
-/// remaining restarts once the deadline expires mid-sequence, while the
-/// packed attempts run concurrently and all retire at the deadline — more
-/// attempts finish, and the best objective can only improve.
-ColumnSetting ising_core_solve_shared_restarts(
-    const ColumnCop& cop, const RunContext& ctx, std::uint64_t seed,
-    CoreSolveStats* stats, const IsingCoreSolver::Options& options,
-    PackEngineOptions engine_opts) {
-  const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
-  const IsingModel model = cop.to_ising();
-
-  SbBatchPlaneHook hook;
-  PackPlaneHook pack_hook;
-  if (options.use_theorem3) {
-    hook = make_theorem3_hook(cop, ctx, options.anti_collapse);
-    pack_hook = [&hook](std::size_t, std::span<double> x, std::span<double> y,
-                        std::size_t reps) { hook(x, y, reps); };
-  }
-
-  ColumnSetting best;
-  double best_obj = 0.0;
-  bool have_best = false;
-  WarmStart warm;
-  if (options.column_seed_init) {
-    warm = column_seed_warm_start(cop);
-    best = std::move(warm.incumbent);
-    best_obj = warm.objective;
-    have_best = true;
-  }
-
-  std::vector<PackMember> pack(restarts);
-  for (std::size_t attempt = 0; attempt < restarts; ++attempt) {
-    pack[attempt].model = &model;
-    pack[attempt].seed = seed + 0x9e3779b9u * attempt;
-    if (attempt == 0 && !warm.positions.empty()) {
-      pack[attempt].initial_positions = warm.positions;
-    }
-  }
-  engine_opts.share_j = true;
-  BsbPackEngine engine(pack, options.sb, replicas, engine_opts);
-  engine.set_context(&ctx);
-  const std::vector<IsingSolveResult> results = engine.run(pack_hook);
-
-  std::size_t total_iters = 0;
-  bool any_early = false;
-  for (std::size_t attempt = 0; attempt < restarts; ++attempt) {
-    const IsingSolveResult& res = results[attempt];
-    // solve_sb_batch scales iterations by the replica count; mirror it.
-    total_iters += res.iterations * replicas;
-    any_early = any_early || res.stopped_early;
-    ColumnSetting s = cop.decode(res.spins);
-    const double obj = polish_and_score(cop, ctx, s, options.final_polish);
-    if (!have_best || obj < best_obj) {
-      best = std::move(s);
-      best_obj = obj;
-      have_best = true;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->objective = best_obj;
-    stats->iterations = total_iters;
-    stats->stopped_early = any_early;
-    stats->proven_optimal = false;
-  }
-  return best;
 }
 
 }  // namespace
@@ -634,15 +557,21 @@ ColumnSetting PackedCoreCopSolver::do_solve(const ColumnCop& cop,
                                             const RunContext& ctx,
                                             std::uint64_t seed,
                                             CoreSolveStats* stats) const {
-  // Shared-J restart packing: even a lone instance has restarts to pack.
-  if (options_.share_j && std::max<std::size_t>(1, options_.core.restarts) > 1) {
-    return ising_core_solve_shared_restarts(
-        cop, ctx, seed, stats, options_.core,
-        PackEngineOptions{options_.layout, options_.tile, true});
-  }
   // A lone instance takes the standalone path — bit-identical to
   // IsingCoreSolver with the same core options, no packing overhead.
   return ising_core_solve(cop, ctx, seed, stats, options_.core);
+}
+
+bool PackedCoreCopSolver::packing_pays(std::size_t replicas,
+                                       std::size_t max_spins) {
+  // The slot layout vectorizes across members, which pays while the
+  // standalone kernels run replica lanes they cannot fill (R < 8; at R = 8
+  // the 8-wide per-instance kernels fill up and win) and while a pack's
+  // per-slot weight planes stay near cache size (<= 384 spins; at 768 the
+  // standalone solve wins). Crossover measured in EXPERIMENTS E7.
+  constexpr std::size_t kUnpackedReplicas = 8;
+  constexpr std::size_t kMaxPackSpins = 384;
+  return replicas < kUnpackedReplicas && max_spins <= kMaxPackSpins;
 }
 
 void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
@@ -650,23 +579,25 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
                                          std::span<const std::uint64_t> seeds,
                                          std::span<ColumnSetting> out,
                                          std::span<CoreSolveStats> stats) const {
-  // Shared-J restart packing: members of one pack must share a model, so
-  // each instance becomes its own pack of restart attempts; the pool then
-  // parallelizes across instances exactly as it would across chunks.
-  if (options_.share_j &&
-      std::max<std::size_t>(1, options_.core.restarts) > 1) {
-    const PackEngineOptions engine_opts{options_.layout, options_.tile, true};
+  std::vector<std::size_t> sizes(cops.size());
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    sizes[i] = cops[i].num_spins();
+  }
+  const std::size_t max_spins = *std::max_element(sizes.begin(), sizes.end());
+  const bool parallel = ctx.parallel() && !ThreadPool::in_parallel_region() &&
+                        ctx.pool().thread_count() > 1;
+
+  // Outside the band where packing pays, solve each instance standalone
+  // over the pool — the IsingCoreSolver path, so results are unchanged.
+  if (!packing_pays(std::max<std::size_t>(1, options_.core.replicas),
+                    max_spins)) {
     auto run_one = [&](std::size_t i) {
-      out[i] = ising_core_solve_shared_restarts(cops[i], ctx, seeds[i],
-                                                &stats[i], options_.core,
-                                                engine_opts);
+      out[i] = ising_core_solve(cops[i], ctx, seeds[i], &stats[i],
+                                options_.core);
     };
-    if (ctx.parallel() && cops.size() > 1) {
-      ThreadPool& pool = ctx.pool();
-      if (pool.thread_count() > 1) {
-        pool.parallel_for(cops.size(), run_one);
-        return;
-      }
+    if (parallel && cops.size() > 1) {
+      ctx.pool().parallel_for(cops.size(), run_one);
+      return;
     }
     for (std::size_t i = 0; i < cops.size(); ++i) {
       run_one(i);
@@ -678,29 +609,20 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
   // carves at least thread_count() packs (the most threads one parallel_for
   // runs, caller included), and the pool runs them concurrently. A nested
   // call runs inline, so splitting it further would only shrink its packs.
-  std::size_t min_packs = 1;
-  if (ctx.parallel() && !ThreadPool::in_parallel_region()) {
-    min_packs = ctx.pool().thread_count();
-  }
-  std::vector<std::size_t> sizes(cops.size());
-  for (std::size_t i = 0; i < cops.size(); ++i) {
-    sizes[i] = cops[i].num_spins();
-  }
+  const std::size_t min_packs = parallel ? ctx.pool().thread_count() : 1;
   const PackPlan plan = plan_packs(sizes, options_.pack, min_packs);
-
-  const PackEngineOptions engine_opts{options_.layout, options_.tile, false};
   auto run_pack = [&](std::size_t p) {
     solve_packed_chunk(
         cops, ctx, seeds, out, stats,
         std::span<const std::size_t>(plan.order.data() + plan.bounds[p],
                                      plan.bounds[p + 1] - plan.bounds[p]),
-        options_.core, engine_opts);
+        options_.core);
   };
 
   // Each pack's engine run is serial (members are tiny; SIMD across members
   // does the intra-pack work), so packs are the natural unit for the pool.
   // Members never interact, so how the batch is carved changes no result.
-  if (min_packs > 1 && plan.packs() > 1) {
+  if (parallel && plan.packs() > 1) {
     ctx.pool().parallel_for(plan.packs(), run_pack);
     return;
   }

@@ -213,12 +213,15 @@ PackPlan plan_packs(std::span<const std::size_t> num_spins, std::size_t pack,
 /// restarts, warm incumbent, and final polish (see BsbPackEngine for the
 /// one budget-rescale caveat under positive time budgets).
 ///
-/// do_solve_batch carves the batch with plan_packs(): at most `pack`
-/// members per pack, and — for a non-nested call on a parallel context —
-/// at least one pack per pool participant, so the pool runs one pack per
-/// thread: parallelism across packs, SIMD across members, replicas inside
-/// the engine. Under `share_j` with restarts > 1, each instance instead
-/// becomes its own shared-model pack of restart attempts.
+/// do_solve_batch decides once whether packing pays (packing_pays() on
+/// the replica count and the largest member's spin count). If it does, it
+/// carves the batch with plan_packs(): at most `pack` members per pack,
+/// and — for a non-nested call on a parallel context — at least one pack
+/// per pool participant, so the pool runs one pack per thread:
+/// parallelism across packs, SIMD across members, replicas inside the
+/// engine. If it does not, every instance takes the standalone
+/// IsingCoreSolver path, one instance per pool task. Either way every
+/// result is bit-identical to IsingCoreSolver.
 class PackedCoreCopSolver final : public CoreCopSolver {
  public:
   struct Options {
@@ -230,23 +233,6 @@ class PackedCoreCopSolver final : public CoreCopSolver {
     /// Maximum members per packed engine run (the K of `pack=K`); batches
     /// are split further so that every pool thread gets a pack.
     std::size_t pack = 16;
-
-    /// Engine layout; kAuto picks slots at replicas <= 2, blocks above.
-    PackLayout layout = PackLayout::kAuto;
-
-    /// Slot-tile width forwarded to the engine (`pack-tile=K`; 0 = auto,
-    /// the engine's measured working-set model).
-    std::size_t tile = 0;
-
-    /// Shared-J restart packing (`pack-share-j=1`): solve each instance's
-    /// `restarts` attempts as members of ONE shared-model pack on the
-    /// broadcast-weight kernels, instead of sequential engine runs. Same
-    /// per-attempt seeds, warm start on attempt 0 only, ascending-attempt
-    /// strict-less best selection — bit-identical to the sequential loop
-    /// for deadline-less contexts (an expired deadline retires the
-    /// concurrent attempts instead of skipping the later ones). No-op at
-    /// restarts <= 1.
-    bool share_j = false;
   };
 
   explicit PackedCoreCopSolver(Options options) : options_(options) {
@@ -260,6 +246,10 @@ class PackedCoreCopSolver final : public CoreCopSolver {
   bool batched() const override { return true; }
 
   const Options& options() const { return options_; }
+
+  /// True when a batch of `replicas`-replica solves whose largest member
+  /// has `max_spins` spins runs faster packed than standalone.
+  static bool packing_pays(std::size_t replicas, std::size_t max_spins);
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,

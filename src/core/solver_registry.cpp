@@ -17,6 +17,18 @@ namespace {
                               "' is not a valid " + want);
 }
 
+// A count key that must be at least 1 (replicas, restarts): 0 is refused
+// like an unknown key instead of being clamped to 1.
+std::size_t positive_size(const SolverConfig& c, const std::string& solver,
+                          const std::string& key) {
+  const std::size_t value = c.get_size(key, 1);
+  if (value == 0) {
+    throw std::invalid_argument("solver '" + solver + "': key '" + key +
+                                "' must be >= 1 (got '0')");
+  }
+  return value;
+}
+
 std::string join(const std::vector<std::string>& items) {
   std::string out;
   for (const std::string& item : items) {
@@ -205,15 +217,12 @@ const SolverRegistry& SolverRegistry::global() {
            {"ising-bsb"},
            {"n", "replicas", "restarts", "theorem3", "anti-collapse",
             "polish", "seed-init", "max-iter", "dt", "discrete", "kernel",
-            "stop", "stop-interval", "stop-window", "stop-epsilon", "pack",
-            "pack-layout", "pack-tile", "pack-share-j"},
+            "stop", "stop-interval", "stop-window", "stop-epsilon", "pack"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
-             options.replicas =
-                 std::max<std::size_t>(1, c.get_size("replicas", 1));
-             options.restarts =
-                 std::max<std::size_t>(1, c.get_size("restarts", 1));
+             options.replicas = positive_size(c, "prop", "replicas");
+             options.restarts = positive_size(c, "prop", "restarts");
              options.use_theorem3 = c.get_bool("theorem3", true);
              options.anti_collapse = c.get_bool("anti-collapse", true);
              options.final_polish = c.get_bool("polish", true);
@@ -232,41 +241,15 @@ const SolverRegistry& SolverRegistry::global() {
                  c.get_size("stop-window", options.sb.stop.window);
              options.sb.stop.epsilon =
                  c.get_double("stop-epsilon", options.sb.stop.epsilon);
-             // pack=K (K > 0) swaps in the multi-instance packed engine:
-             // bit-identical per instance, one force pass for K solves.
+             // pack=K (K > 0) swaps in the packed solver: up to K solves
+             // per force pass where packing pays, standalone solves
+             // elsewhere; bit-identical per instance either way.
              const std::size_t pack = c.get_size("pack", 0);
              if (pack > 0) {
                PackedCoreCopSolver::Options packed;
                packed.core = options;
                packed.pack = pack;
-               packed.layout = parse_pack_layout(
-                   c.get_string("pack-layout", "auto"));
-               // pack-tile=auto|<slots>: slot-tile width of the slot
-               // layout (0 = the engine's measured working-set model).
-               const std::string tile = c.get_string("pack-tile", "auto");
-               if (tile != "auto") {
-                 std::size_t width = 0;
-                 const auto [ptr, ec] = std::from_chars(
-                     tile.data(), tile.data() + tile.size(), width);
-                 if (ec != std::errc{} ||
-                     ptr != tile.data() + tile.size() || width == 0) {
-                   throw std::invalid_argument(
-                       "solver 'prop': bad value '" + tile +
-                       "' for 'pack-tile' (expected auto or a positive "
-                       "slot count)");
-                 }
-                 packed.tile = width;
-               }
-               packed.share_j = c.get_bool("pack-share-j", false);
                return std::make_unique<PackedCoreCopSolver>(packed);
-             }
-             for (const char* key :
-                  {"pack-layout", "pack-tile", "pack-share-j"}) {
-               if (c.has(key)) {
-                 throw std::invalid_argument("solver 'prop': '" +
-                                             std::string(key) +
-                                             "' requires 'pack' > 0");
-               }
              }
              return std::make_unique<IsingCoreSolver>(options);
            }});
@@ -285,9 +268,10 @@ const SolverRegistry& SolverRegistry::global() {
       stop.epsilon = c.get_double("stop-epsilon", stop.epsilon);
     };
     const auto apply_shared_keys = [](const SolverConfig& c,
+                                      const std::string& solver,
                                       IsingCoreSolver::Options& options) {
-      options.replicas = std::max<std::size_t>(1, c.get_size("replicas", 1));
-      options.restarts = std::max<std::size_t>(1, c.get_size("restarts", 1));
+      options.replicas = positive_size(c, solver, "replicas");
+      options.restarts = positive_size(c, solver, "restarts");
       options.use_theorem3 = c.get_bool("theorem3", true);
       options.anti_collapse = c.get_bool("anti-collapse", true);
       options.final_polish = c.get_bool("polish", true);
@@ -307,7 +291,7 @@ const SolverRegistry& SolverRegistry::global() {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kSa;
-             apply_shared_keys(c, options);
+             apply_shared_keys(c, "sa", options);
              // Spin-flip dynamics have no oscillator planes: the Theorem-3
              // feedback and anti-collapse interventions don't apply.
              options.use_theorem3 = false;
@@ -335,7 +319,7 @@ const SolverRegistry& SolverRegistry::global() {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kSimcim;
-             apply_shared_keys(c, options);
+             apply_shared_keys(c, "simcim", options);
              options.simcim.max_iterations =
                  c.get_size("max-iter", options.simcim.max_iterations);
              options.simcim.dt = c.get_double("dt", options.simcim.dt);
@@ -366,7 +350,7 @@ const SolverRegistry& SolverRegistry::global() {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kDoch;
-             apply_shared_keys(c, options);
+             apply_shared_keys(c, "doch", options);
              options.doch.max_iterations =
                  c.get_size("max-iter", options.doch.max_iterations);
              options.doch.rho = c.get_double("rho", options.doch.rho);

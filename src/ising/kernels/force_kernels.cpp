@@ -211,79 +211,6 @@ void pack_force_scalar_d(const PackForcePlanes& p, std::size_t b,
   pack_force_scalar_impl<true>(p, b, e);
 }
 
-// Shared-J portable tier: every slot solves the same coupling matrix, so
-// the weight is one scalar broadcast per union edge, wj[e] — exactly the
-// value the per-slot kernel would load — and only the position is a
-// per-slot vector. Surviving edges keep their ascending-j order, so
-// shared-J packs stay bit-identical to standalone solves.
-
-template <int W, bool Discrete>
-void pack_shared_lanes(const PackForcePlanes& p, std::size_t slot0,
-                       std::size_t row_begin, std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* hi = p.hp + i * S + slot0;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      double acc[W];
-      for (int t = 0; t < W; ++t) {
-        acc[t] = hi[t];
-      }
-      const double* xr = p.x + r * S + slot0;
-      for (std::uint32_t e = e0; e < e1; ++e) {
-        const double w = p.wj[e];
-        const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S;
-        for (int t = 0; t < W; ++t) {
-          if constexpr (Discrete) {
-            acc[t] += w * (xj[t] >= 0.0 ? 1.0 : -1.0);
-          } else {
-            acc[t] += w * xj[t];
-          }
-        }
-      }
-      double* fi = p.force + (i * R + r) * S + slot0;
-      for (int t = 0; t < W; ++t) {
-        fi[t] = acc[t];
-      }
-    }
-  }
-}
-
-template <bool Discrete>
-void pack_force_shared_scalar_impl(const PackForcePlanes& p,
-                                   std::size_t row_begin,
-                                   std::size_t row_end) {
-  const std::size_t A = p.active;
-  std::size_t s = 0;
-  while (s + 8 <= A) {
-    pack_shared_lanes<8, Discrete>(p, s, row_begin, row_end);
-    s += 8;
-  }
-  if (s + 4 <= A) {
-    pack_shared_lanes<4, Discrete>(p, s, row_begin, row_end);
-    s += 4;
-  }
-  if (s + 2 <= A) {
-    pack_shared_lanes<2, Discrete>(p, s, row_begin, row_end);
-    s += 2;
-  }
-  if (s < A) {
-    pack_shared_lanes<1, Discrete>(p, s, row_begin, row_end);
-  }
-}
-
-void pack_force_shared_scalar(const PackForcePlanes& p, std::size_t b,
-                              std::size_t e) {
-  pack_force_shared_scalar_impl<false>(p, b, e);
-}
-void pack_force_shared_scalar_d(const PackForcePlanes& p, std::size_t b,
-                                std::size_t e) {
-  pack_force_shared_scalar_impl<true>(p, b, e);
-}
-
 void csr_force_scalar(const ForcePlanes& p, std::size_t b, std::size_t e) {
   csr_force_scalar_impl<false>(p, b, e);
 }
@@ -343,29 +270,20 @@ const Tier& tier_for(ForceKernel isa) {
 struct PackTier {
   PackForceRowsFn c;
   PackForceRowsFn d;
-  PackForceRowsFn shared_c;
-  PackForceRowsFn shared_d;
   const char* name;
-  const char* shared_name;
 };
 
-constexpr PackTier kPackScalarTier = {
-    pack_force_scalar,        pack_force_scalar_d,
-    pack_force_shared_scalar, pack_force_shared_scalar_d,
-    "pack-scalar",            "pack-scalar-sharedj"};
+constexpr PackTier kPackScalarTier = {pack_force_scalar, pack_force_scalar_d,
+                                      "pack-scalar"};
 
 #ifdef ADSD_HAVE_AVX2
-constexpr PackTier kPackAvx2Tier = {
-    detail::pack_force_avx2,        detail::pack_force_avx2_d,
-    detail::pack_force_shared_avx2, detail::pack_force_shared_avx2_d,
-    "pack-avx2",                    "pack-avx2-sharedj"};
+constexpr PackTier kPackAvx2Tier = {detail::pack_force_avx2,
+                                    detail::pack_force_avx2_d, "pack-avx2"};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
 constexpr PackTier kPackAvx512Tier = {
-    detail::pack_force_avx512,        detail::pack_force_avx512_d,
-    detail::pack_force_shared_avx512, detail::pack_force_shared_avx512_d,
-    "pack-avx512",                    "pack-avx512-sharedj"};
+    detail::pack_force_avx512, detail::pack_force_avx512_d, "pack-avx512"};
 #endif
 
 const PackTier& pack_tier_for(ForceKernel isa) {
@@ -516,8 +434,7 @@ std::vector<ForceKernel> selectable_force_kernels(bool dense_available) {
 }
 
 SelectedPackForceKernel select_pack_force_kernel(ForceKernel requested,
-                                                 const CpuFeatures& features,
-                                                 bool shared_j) {
+                                                 const CpuFeatures& features) {
   // Pack planes are dense per construction, so the dense axis collapses:
   // kAuto and kDense both mean "widest ISA". Explicit ISA requests walk
   // the same avx512 -> avx2 -> scalar chain as select_force_kernel().
@@ -538,10 +455,10 @@ SelectedPackForceKernel select_pack_force_kernel(ForceKernel requested,
 
   const PackTier& tier = pack_tier_for(isa);
   SelectedPackForceKernel out;
-  out.continuous = shared_j ? tier.shared_c : tier.c;
-  out.discrete = shared_j ? tier.shared_d : tier.d;
+  out.continuous = tier.c;
+  out.discrete = tier.d;
   out.kind = isa;
-  out.name = shared_j ? tier.shared_name : tier.name;
+  out.name = tier.name;
   return out;
 }
 

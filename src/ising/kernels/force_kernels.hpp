@@ -116,20 +116,11 @@ std::vector<ForceKernel> selectable_force_kernels(bool dense_available);
 /// and the surviving edges keep their ascending-j order. Retired
 /// instances are swap-compacted to the tail, so kernels touch only the
 /// first `active` slots of every group.
-///
-/// Shared-J variant: when every slot solves the same coupling matrix
-/// (e.g. packed restart attempts of one instance), `wj` holds ONE weight
-/// per union edge (aligned with ucols) and the shared kernels broadcast
-/// wj[e] across the slot vector instead of loading a per-slot weight
-/// vector — slots x fewer weight bytes per force pass. `wp` may then be
-/// null. The broadcast value is identical to the per-slot load, so
-/// accumulation stays bit-exact.
 struct PackForcePlanes {
   const double* x = nullptr;   // n * replicas * slots positions
   double* force = nullptr;     // n * replicas * slots output
   const double* hp = nullptr;  // n * slots per-slot biases
   const double* wp = nullptr;  // uedges * slots per-slot union weights
-  const double* wj = nullptr;  // uedges shared weights (shared-J)
   const std::uint32_t* urow_start = nullptr;  // n + 1 union row offsets
   const std::uint32_t* ucols = nullptr;       // union column indices
   std::size_t n = 0;           // spins per instance
@@ -145,8 +136,7 @@ using PackForceRowsFn = void (*)(const PackForcePlanes& planes,
                                  std::size_t row_begin, std::size_t row_end);
 
 /// Resolved pack-kernel dispatch decision; names are "pack-scalar",
-/// "pack-avx2", "pack-avx512" (shared-J selection: "pack-scalar-sharedj",
-/// "pack-avx2-sharedj", "pack-avx512-sharedj").
+/// "pack-avx2", "pack-avx512".
 struct SelectedPackForceKernel {
   PackForceRowsFn continuous = nullptr;
   PackForceRowsFn discrete = nullptr;
@@ -157,11 +147,8 @@ struct SelectedPackForceKernel {
 /// Resolves a pack-kernel request against CPU features. The pack kernels
 /// are dense by construction, so kAuto and kDense both mean "widest ISA";
 /// explicit ISA requests walk the same avx512 -> avx2 -> scalar fallback
-/// chain as select_force_kernel(). With `shared_j` the broadcast-weight
-/// variants (reading PackForcePlanes::wj) are returned instead of the
-/// per-slot-weight ones — same tiers, same fallback chain. Never fails.
+/// chain as select_force_kernel(). Never fails.
 SelectedPackForceKernel select_pack_force_kernel(ForceKernel requested,
-                                                 const CpuFeatures& features,
-                                                 bool shared_j = false);
+                                                 const CpuFeatures& features);
 
 }  // namespace adsd::kernels

@@ -54,21 +54,4 @@ void pack_force_avx512(const PackForcePlanes& p, std::size_t row_begin,
 void pack_force_avx512_d(const PackForcePlanes& p, std::size_t row_begin,
                          std::size_t row_end);
 
-// Shared-J pack kernels: one row-major n x n weight plane (planes.wj) for
-// every slot, broadcast per column like the dense per-instance kernels
-// broadcast per replica lane. The broadcast value equals the per-slot
-// load the non-shared kernels would issue, so accumulation order and
-// rounding — and therefore bit-exactness against standalone solves — are
-// unchanged.
-
-void pack_force_shared_avx2(const PackForcePlanes& p, std::size_t row_begin,
-                            std::size_t row_end);
-void pack_force_shared_avx2_d(const PackForcePlanes& p, std::size_t row_begin,
-                              std::size_t row_end);
-
-void pack_force_shared_avx512(const PackForcePlanes& p, std::size_t row_begin,
-                              std::size_t row_end);
-void pack_force_shared_avx512_d(const PackForcePlanes& p,
-                                std::size_t row_begin, std::size_t row_end);
-
 }  // namespace adsd::kernels::detail

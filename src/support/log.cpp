@@ -301,9 +301,10 @@ void Logger::close() {
   drain_once();
   impl->out->flush();
   impl_.store(nullptr, std::memory_order_release);
-  // The Impl (and its rings) is leaked on purpose: a producer that loaded
+  // The Impl (and its rings) is retired, not freed: a producer that loaded
   // armed() just before the close may still be completing one log() call.
   // Bounded by arm cycles per process, each a few KiB.
+  retired_.push_back(impl);
 }
 
 Logger::ThreadBuffer& Logger::buffer_for_thread(Impl& impl) {

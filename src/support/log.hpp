@@ -256,8 +256,12 @@ class Logger {
   std::uint64_t exported_dropped_ = 0;
   std::uint64_t exported_rate_limited_ = 0;
   // Atomic because producers that loaded armed() race the closing disarm;
-  // the pointed-to Impl is leaked on purpose (see close()).
+  // a closed Impl is never freed (see close()).
   std::atomic<Impl*> impl_{nullptr};
+  // Every Impl close() retired, held so it stays reachable (and is not
+  // reported as a leak) while a late producer may still touch it. Only
+  // close() appends, under the arm mutex.
+  std::vector<Impl*> retired_;
 };
 
 }  // namespace adsd

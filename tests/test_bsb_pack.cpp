@@ -59,7 +59,7 @@ IsingSolveResult standalone(const IsingModel& model, SbParams params,
 
 // ------------------------------------------------------- member bit parity
 
-TEST(BsbPackParity, MembersMatchStandaloneAcrossLayoutsAndReplicas) {
+TEST(BsbPackParity, MembersMatchStandaloneAcrossReplicas) {
   const auto models = member_models(5, 12, 101);
   SbParams params;
   params.max_iterations = 300;
@@ -68,26 +68,20 @@ TEST(BsbPackParity, MembersMatchStandaloneAcrossLayoutsAndReplicas) {
   params.stop.sample_interval = 5;
   params.stop.window = 6;
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    for (const std::size_t replicas :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      std::vector<PackMember> members;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        members.push_back({&models[m], 1000 + 7 * m, {}});
-      }
-      BsbPackEngine engine(members, params, replicas, layout);
-      const auto packed = engine.run();
-      ASSERT_EQ(packed.size(), models.size());
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto ref =
-            standalone(models[m], params, members[m].seed, replicas);
-        EXPECT_EQ(ref.energy, packed[m].energy)
-            << pack_layout_name(layout) << " R=" << replicas << " m=" << m;
-        EXPECT_EQ(ref.spins, packed[m].spins)
-            << pack_layout_name(layout) << " R=" << replicas << " m=" << m;
-        EXPECT_EQ(ref.iterations, packed[m].iterations);
-        EXPECT_EQ(ref.stopped_early, packed[m].stopped_early);
-      }
+  for (std::size_t replicas = 1; replicas <= 8; ++replicas) {
+    std::vector<PackMember> members;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      members.push_back({&models[m], 1000 + 7 * m, {}});
+    }
+    BsbPackEngine engine(members, params, replicas);
+    const auto packed = engine.run();
+    ASSERT_EQ(packed.size(), models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const auto ref = standalone(models[m], params, members[m].seed, replicas);
+      EXPECT_EQ(ref.energy, packed[m].energy) << "R=" << replicas << " m=" << m;
+      EXPECT_EQ(ref.spins, packed[m].spins) << "R=" << replicas << " m=" << m;
+      EXPECT_EQ(ref.iterations, packed[m].iterations);
+      EXPECT_EQ(ref.stopped_early, packed[m].stopped_early);
     }
   }
 }
@@ -106,22 +100,18 @@ TEST(BsbPackParity, MembersMatchStandaloneAtEveryKernelRequest) {
     params.stop.sample_interval = 10;
     params.stop.window = 5;
 
-    for (const PackLayout layout :
-         {PackLayout::kSlots, PackLayout::kBlocks}) {
-      std::vector<PackMember> members;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        members.push_back({&models[m], 31 + m, {}});
-      }
-      BsbPackEngine engine(members, params, 2, layout);
-      const auto packed = engine.run();
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto ref = standalone(models[m], params, members[m].seed, 2);
-        EXPECT_EQ(ref.energy, packed[m].energy)
-            << kernels::force_kernel_name(kernel) << " "
-            << pack_layout_name(layout) << " m=" << m;
-        EXPECT_EQ(ref.spins, packed[m].spins);
-        EXPECT_EQ(ref.iterations, packed[m].iterations);
-      }
+    std::vector<PackMember> members;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      members.push_back({&models[m], 31 + m, {}});
+    }
+    BsbPackEngine engine(members, params, 2);
+    const auto packed = engine.run();
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const auto ref = standalone(models[m], params, members[m].seed, 2);
+      EXPECT_EQ(ref.energy, packed[m].energy)
+          << kernels::force_kernel_name(kernel) << " m=" << m;
+      EXPECT_EQ(ref.spins, packed[m].spins);
+      EXPECT_EQ(ref.iterations, packed[m].iterations);
     }
   }
 }
@@ -135,14 +125,12 @@ TEST(BsbPackParity, DiscreteVariantMatchesStandalone) {
   for (std::size_t m = 0; m < models.size(); ++m) {
     members.push_back({&models[m], 71 + m, {}});
   }
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    BsbPackEngine engine(members, params, 1, layout);
-    const auto packed = engine.run();
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      const auto ref = standalone(models[m], params, members[m].seed, 1);
-      EXPECT_EQ(ref.energy, packed[m].energy);
-      EXPECT_EQ(ref.spins, packed[m].spins);
-    }
+  BsbPackEngine engine(members, params, 1);
+  const auto packed = engine.run();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto ref = standalone(models[m], params, members[m].seed, 1);
+    EXPECT_EQ(ref.energy, packed[m].energy);
+    EXPECT_EQ(ref.spins, packed[m].spins);
   }
 }
 
@@ -160,16 +148,14 @@ TEST(BsbPackParity, InitialPositionsWarmStartMatchesStandalone) {
     }
     members.push_back({&models[m], 5 + m, warm[m]});
   }
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    BsbPackEngine engine(members, params, 2, layout);
-    const auto packed = engine.run();
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      SbParams p = params;
-      p.initial_positions = warm[m];
-      const auto ref = standalone(models[m], p, members[m].seed, 2);
-      EXPECT_EQ(ref.energy, packed[m].energy);
-      EXPECT_EQ(ref.spins, packed[m].spins);
-    }
+  BsbPackEngine engine(members, params, 2);
+  const auto packed = engine.run();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    SbParams p = params;
+    p.initial_positions = warm[m];
+    const auto ref = standalone(models[m], p, members[m].seed, 2);
+    EXPECT_EQ(ref.energy, packed[m].energy);
+    EXPECT_EQ(ref.spins, packed[m].spins);
   }
 }
 
@@ -177,8 +163,8 @@ TEST(BsbPackParity, InitialPositionsWarmStartMatchesStandalone) {
 
 TEST(BsbPackRetirement, MembersRetireAtDifferentIterationsAndStayExact) {
   // A loose variance window makes each member's dynamic stop fire at its
-  // own step; the packed run must retire them one by one (slot compaction
-  // in kSlots) without disturbing the survivors.
+  // own step; the packed run must retire them one by one (slot compaction)
+  // without disturbing the survivors.
   const auto models = member_models(6, 10, 505);
   SbParams params;
   params.max_iterations = 4000;
@@ -187,26 +173,23 @@ TEST(BsbPackRetirement, MembersRetireAtDifferentIterationsAndStayExact) {
   params.stop.sample_interval = 5;
   params.stop.window = 4;
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 900 + 13 * m, {}});
-    }
-    BsbPackEngine engine(members, params, 1, layout);
-    const auto packed = engine.run();
-    std::set<std::size_t> distinct;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      const auto ref = standalone(models[m], params, members[m].seed, 1);
-      EXPECT_EQ(ref.energy, packed[m].energy)
-          << pack_layout_name(layout) << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins);
-      EXPECT_EQ(ref.iterations, packed[m].iterations);
-      EXPECT_TRUE(packed[m].stopped_early) << "m=" << m;
-      distinct.insert(packed[m].iterations);
-    }
-    // The point of the test: retirement actually happened at unequal steps.
-    EXPECT_GT(distinct.size(), 1u) << pack_layout_name(layout);
+  std::vector<PackMember> members;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    members.push_back({&models[m], 900 + 13 * m, {}});
   }
+  BsbPackEngine engine(members, params, 1);
+  const auto packed = engine.run();
+  std::set<std::size_t> distinct;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto ref = standalone(models[m], params, members[m].seed, 1);
+    EXPECT_EQ(ref.energy, packed[m].energy) << "m=" << m;
+    EXPECT_EQ(ref.spins, packed[m].spins);
+    EXPECT_EQ(ref.iterations, packed[m].iterations);
+    EXPECT_TRUE(packed[m].stopped_early) << "m=" << m;
+    distinct.insert(packed[m].iterations);
+  }
+  // The point of the test: retirement actually happened at unequal steps.
+  EXPECT_GT(distinct.size(), 1u);
 }
 
 // ----------------------------------------------------- intervention hooks
@@ -229,34 +212,42 @@ TEST(BsbPackHook, PlaneHookSeesStandaloneLayoutAndStaysExact) {
     }
   };
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 40 + m, {}});
-    }
-    BsbPackEngine engine(members, params, replicas, layout);
-    const auto packed = engine.run(pin);
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      SbParams p = params;
-      p.seed = members[m].seed;
-      BsbBatchEngine ref_engine(models[m], p, replicas);
-      const auto ref = ref_engine.run(
-          nullptr, [&](std::span<double> x, std::span<double> y,
-                       std::size_t reps) { pin(m, x, y, reps); });
-      EXPECT_EQ(ref.energy, packed[m].energy)
-          << pack_layout_name(layout) << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins);
-    }
+  std::vector<PackMember> members;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    members.push_back({&models[m], 40 + m, {}});
+  }
+  BsbPackEngine engine(members, params, replicas);
+  const auto packed = engine.run(pin);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    SbParams p = params;
+    p.seed = members[m].seed;
+    BsbBatchEngine ref_engine(models[m], p, replicas);
+    const auto ref = ref_engine.run(
+        nullptr, [&](std::span<double> x, std::span<double> y,
+                     std::size_t reps) { pin(m, x, y, reps); });
+    EXPECT_EQ(ref.energy, packed[m].energy) << "m=" << m;
+    EXPECT_EQ(ref.spins, packed[m].spins);
   }
 }
 
 // ------------------------------------------------- tile-width bit parity
 
 TEST(BsbPackParity, TileWidthsAreBitIdentical) {
-  // Any slot-tile width must reproduce the standalone trajectories: tiles
-  // only change which slots advance together between sampling points, and
-  // members never interact between sampling points.
-  const auto models = member_models(7, 10, 808);
+  // A pack wider than the working-set tile must reproduce the standalone
+  // trajectories: tiles only change which slots advance together between
+  // sampling points, and members never interact between sampling points.
+  // Sixteen n = 12 core COPs (192 spins each) give a derived tile below
+  // the member count, and dynamic stop retires members across tiles.
+  const TruthTable tt = make_benchmark_table("erf", 12, 12);
+  const InputDistribution dist = InputDistribution::uniform(12);
+  std::vector<IsingModel> models;
+  for (unsigned k = 0; k < 16; ++k) {
+    Rng rng(300 + k);
+    const InputPartition w = InputPartition::random(12, 6, rng);
+    const BooleanMatrix matrix = BooleanMatrix::from_function(tt, k % 12, w);
+    models.push_back(
+        ColumnCop::separate(matrix, matrix_probs(dist, w)).to_ising());
+  }
   SbParams params;
   params.max_iterations = 200;
   params.stop.enabled = true;
@@ -264,69 +255,20 @@ TEST(BsbPackParity, TileWidthsAreBitIdentical) {
   params.stop.sample_interval = 5;
   params.stop.window = 5;
 
-  for (const std::size_t tile :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{64}}) {
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 4000 + 11 * m, {}});
-    }
-    PackEngineOptions o;
-    o.layout = PackLayout::kSlots;
-    o.tile = tile;
-    BsbPackEngine engine(members, params, 1, o);
-    EXPECT_GE(engine.tile(), 1u);
-    EXPECT_LE(engine.tile(), members.size());
-    const auto packed = engine.run();
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      const auto ref = standalone(models[m], params, members[m].seed, 1);
-      EXPECT_EQ(ref.energy, packed[m].energy) << "tile=" << tile << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins) << "tile=" << tile << " m=" << m;
-      EXPECT_EQ(ref.iterations, packed[m].iterations);
-    }
+  std::vector<PackMember> members;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    members.push_back({&models[m], 4000 + 11 * m, {}});
   }
-}
-
-// --------------------------------------------------- shared-J bit parity
-
-TEST(BsbPackParity, SharedJMatchesStandaloneAndPerSlotPlanes) {
-  // Restart-style packs: every member references the same model with its
-  // own seed. The broadcast-weight kernels must match both the standalone
-  // solves and the per-slot-plane pack bit for bit.
-  Rng rng(909);
-  const IsingModel model = random_model(12, 0.4, rng);
-  for (const bool discrete : {false, true}) {
-    SbParams params;
-    params.max_iterations = 180;
-    params.discrete = discrete;
-    params.stop.enabled = true;
-    params.stop.epsilon = 1e-6;
-    params.stop.sample_interval = 5;
-    params.stop.window = 5;
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < 9; ++m) {
-      members.push_back({&model, 6000 + 23 * m, {}});
-    }
-    PackEngineOptions shared;
-    shared.share_j = true;
-    BsbPackEngine engine(members, params, 2, shared);
-    EXPECT_TRUE(engine.shared_j());
-    EXPECT_EQ(engine.layout(), PackLayout::kSlots);
-    EXPECT_NE(std::string(engine.kernel_name()).find("sharedj"),
-              std::string::npos);
-    const auto packed = engine.run();
-
-    BsbPackEngine per_slot(members, params, 2, PackLayout::kSlots);
-    const auto plain = per_slot.run();
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const auto ref = standalone(model, params, members[m].seed, 2);
-      EXPECT_EQ(ref.energy, packed[m].energy)
-          << "discrete=" << discrete << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins);
-      EXPECT_EQ(ref.iterations, packed[m].iterations);
-      EXPECT_EQ(plain[m].energy, packed[m].energy);
-      EXPECT_EQ(plain[m].spins, packed[m].spins);
-    }
+  BsbPackEngine engine(members, params, 1);
+  EXPECT_EQ(engine.num_spins(), 192u);
+  EXPECT_GE(engine.tile(), 1u);
+  EXPECT_LT(engine.tile(), engine.num_members());
+  const auto packed = engine.run();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto ref = standalone(models[m], params, members[m].seed, 1);
+    EXPECT_EQ(ref.energy, packed[m].energy) << "m=" << m;
+    EXPECT_EQ(ref.spins, packed[m].spins) << "m=" << m;
+    EXPECT_EQ(ref.iterations, packed[m].iterations) << "m=" << m;
   }
 }
 
@@ -349,25 +291,21 @@ TEST(BsbPackParity, MixedSpinCountsMatchStandalone) {
   params.stop.sample_interval = 5;
   params.stop.window = 5;
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
-      std::vector<PackMember> members;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        members.push_back({&models[m], 7000 + 31 * m, {}});
-      }
-      BsbPackEngine engine(members, params, replicas, layout);
-      EXPECT_EQ(engine.num_spins(), 12u);
-      EXPECT_EQ(engine.member_spins(0), 6u);
-      const auto packed = engine.run();
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto ref =
-            standalone(models[m], params, members[m].seed, replicas);
-        EXPECT_EQ(ref.energy, packed[m].energy)
-            << pack_layout_name(layout) << " R=" << replicas << " m=" << m;
-        EXPECT_EQ(ref.spins, packed[m].spins);
-        EXPECT_EQ(ref.iterations, packed[m].iterations);
-        ASSERT_EQ(packed[m].spins.size(), models[m].num_spins());
-      }
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    std::vector<PackMember> members;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      members.push_back({&models[m], 7000 + 31 * m, {}});
+    }
+    BsbPackEngine engine(members, params, replicas);
+    EXPECT_EQ(engine.num_spins(), 12u);
+    EXPECT_EQ(engine.member_spins(0), 6u);
+    const auto packed = engine.run();
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const auto ref = standalone(models[m], params, members[m].seed, replicas);
+      EXPECT_EQ(ref.energy, packed[m].energy) << "R=" << replicas << " m=" << m;
+      EXPECT_EQ(ref.spins, packed[m].spins);
+      EXPECT_EQ(ref.iterations, packed[m].iterations);
+      ASSERT_EQ(packed[m].spins.size(), models[m].num_spins());
     }
   }
 }
@@ -396,49 +334,51 @@ TEST(BsbPackDeadline, ExpiredContextRetiresEveryMemberImmediately) {
   }
 }
 
-TEST(BsbPackDeadline, BlocksLayoutCompactsMidSolveOnDeadline) {
+TEST(BsbPackDeadline, SlotsCompactMidSolveOnDeadline) {
   // A deadline that expires in the middle of a run must retire members at
-  // their next sampling point without disturbing the survivors' blocks.
+  // their next sampling point without disturbing the survivors' slots.
   // Member 2's hook burns the whole budget at the first sampling point
   // (step 10): members 0 and 1 passed their deadline check before it ran,
-  // so they survive to step 20, while members 2..5 retire at step 10.
+  // so they survive to step 20, while members 2..5 retire at step 10 —
+  // each retirement swap-compacts a survivor into a lower slot.
   const auto models = member_models(6, 8, 1212);
   SbParams params;
   params.max_iterations = 20;
   params.stop.sample_interval = 10;
 
-  auto run_layout = [&](PackLayout layout) {
-    RunContext::Options opts;
-    opts.time_budget_s = 0.25;
-    const RunContext ctx(opts);
-    auto burn = [&](std::size_t member, std::span<double>, std::span<double>,
-                    std::size_t) {
-      if (member == 2) {
-        while (!ctx.expired()) {
-        }
+  RunContext::Options opts;
+  opts.time_budget_s = 0.25;
+  const RunContext ctx(opts);
+  auto burn = [&](std::size_t member, std::span<double>, std::span<double>,
+                  std::size_t) {
+    if (member == 2) {
+      while (!ctx.expired()) {
       }
-    };
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 50 + m, {}});
     }
-    BsbPackEngine engine(members, params, 1, layout);
-    engine.set_context(&ctx);
-    return engine.run(burn);
   };
-
-  const auto blocks = run_layout(PackLayout::kBlocks);
-  const auto slots = run_layout(PackLayout::kSlots);
+  std::vector<PackMember> members;
   for (std::size_t m = 0; m < models.size(); ++m) {
-    EXPECT_EQ(blocks[m].iterations, m < 2 ? 20u : 10u) << "m=" << m;
-    EXPECT_TRUE(blocks[m].stopped_early) << "m=" << m;
-    // The two layouts follow the same retirement schedule, so the whole
-    // result set must agree bit for bit.
-    EXPECT_EQ(blocks[m].energy, slots[m].energy) << "m=" << m;
-    EXPECT_EQ(blocks[m].spins, slots[m].spins) << "m=" << m;
-    EXPECT_EQ(blocks[m].iterations, slots[m].iterations) << "m=" << m;
+    members.push_back({&models[m], 50 + m, {}});
+  }
+  BsbPackEngine engine(members, params, 1);
+  engine.set_context(&ctx);
+  const auto packed = engine.run(burn);
+
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    EXPECT_EQ(packed[m].iterations, m < 2 ? 20u : 10u) << "m=" << m;
+    EXPECT_TRUE(packed[m].stopped_early) << "m=" << m;
     // Results stay internally consistent after mid-solve compaction.
-    EXPECT_EQ(blocks[m].energy, models[m].energy(blocks[m].spins)) << "m=" << m;
+    EXPECT_EQ(packed[m].energy, models[m].energy(packed[m].spins))
+        << "m=" << m;
+  }
+  // The survivors ran the same 20 steps they would alone (the hook never
+  // touches the planes), so the compaction around them left their
+  // trajectories bit-identical to a deadline-free standalone solve.
+  for (std::size_t m = 0; m < 2; ++m) {
+    const auto ref = standalone(models[m], params, members[m].seed, 1);
+    EXPECT_EQ(ref.energy, packed[m].energy) << "m=" << m;
+    EXPECT_EQ(ref.spins, packed[m].spins) << "m=" << m;
+    EXPECT_EQ(ref.iterations, packed[m].iterations) << "m=" << m;
   }
 }
 
@@ -466,30 +406,17 @@ TEST(BsbPack, RejectsBadArguments) {
   SbParams params;
   EXPECT_THROW(BsbPackEngine({}, params, 1), std::invalid_argument);
   {
-    // Mixed spin counts are legal (padded), but shared-J demands one model.
+    // Mixed spin counts are legal (padded); zero replicas is not.
     const std::vector<PackMember> mixed = {{&a, 1, {}}, {&b, 2, {}}};
     BsbPackEngine ok(mixed, params, 1);
     EXPECT_EQ(ok.num_spins(), 7u);
-    PackEngineOptions shared;
-    shared.share_j = true;
-    EXPECT_THROW(BsbPackEngine(mixed, params, 1, shared),
-                 std::invalid_argument);
-    // shared-J is a slot-layout fast path; the block layout has no shared
-    // plane to use.
-    const std::vector<PackMember> same = {{&a, 1, {}}, {&a, 2, {}}};
-    shared.layout = PackLayout::kBlocks;
-    EXPECT_THROW(BsbPackEngine(same, params, 1, shared),
-                 std::invalid_argument);
+    EXPECT_THROW(BsbPackEngine(mixed, params, 0), std::invalid_argument);
   }
   {
     IsingModel unfinalized(6);
     const std::vector<PackMember> raw = {{&unfinalized, 1, {}}};
     EXPECT_THROW(BsbPackEngine(raw, params, 1), std::invalid_argument);
   }
-  EXPECT_THROW(parse_pack_layout("bogus"), std::invalid_argument);
-  EXPECT_EQ(parse_pack_layout("slots"), PackLayout::kSlots);
-  EXPECT_EQ(parse_pack_layout("blocks"), PackLayout::kBlocks);
-  EXPECT_EQ(parse_pack_layout("auto"), PackLayout::kAuto);
 }
 
 // ------------------------------------------------- packed core COP solver
@@ -529,23 +456,14 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
   for (std::size_t i = 0; i < cops.size(); ++i) {
     seeds.push_back(1000 + 17 * i);
   }
-  // Theorem-3 + dynamic stop are on by default; replicas=1 lands in the
-  // slot layout, replicas=4 in the block layout, restarts=2 exercises the
-  // per-attempt reseed, pack=3 forces multiple chunks per batch. The
-  // pack-* keys exist only on the packed side (they change nothing about
-  // per-member results); `plain` is the key set the reference sees.
-  struct Config {
-    std::string packed;
-    std::string plain;
-  };
-  for (const Config& cfg :
-       {Config{"", ""}, Config{",replicas=4", ",replicas=4"},
-        Config{",restarts=2", ",restarts=2"},
-        Config{",pack-layout=blocks", ""}, Config{",pack-tile=2", ""},
-        Config{",restarts=3,pack-share-j=1", ",restarts=3"}}) {
-    const std::string& extra = cfg.packed;
+  // Theorem-3 + dynamic stop are on by default; replicas=4 packs with
+  // several replicas per slot, replicas=8 takes the unpacked path,
+  // restarts=2 exercises the per-attempt reseed, pack=3 forces multiple
+  // chunks per batch.
+  for (const std::string extra :
+       {"", ",replicas=4", ",replicas=8", ",restarts=2"}) {
     const auto plain =
-        SolverRegistry::global().make_from_spec("prop,n=9" + cfg.plain);
+        SolverRegistry::global().make_from_spec("prop,n=9" + extra);
     const auto packed = SolverRegistry::global().make_from_spec(
         "prop,n=9,pack=3" + extra);
     const RunContext ctx(std::uint64_t{7});
@@ -700,7 +618,7 @@ TEST(PackedCoreCopSolver, CarvedBatchBitIdenticalAcrossPoolSizes) {
   const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
   const auto packed =
       SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     const RunContext ctx = pooled_context(threads);
     std::vector<CoreSolveStats> stats;
     const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
@@ -777,35 +695,71 @@ TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
   const auto plain = SolverRegistry::global().make_from_spec("prop");
   EXPECT_EQ(plain->name(), "ising-bsb");
   EXPECT_FALSE(plain->batched());
-  // pack-* keys without pack are configuration errors; bogus values too.
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack-layout=slots"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack-tile=4"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack-share-j=1"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack=4,pack-layout=x"),
-      std::invalid_argument);
-  // Malformed pack-tile enumerates the accepted values in the message.
-  try {
-    SolverRegistry::global().make_from_spec("prop,pack=4,pack-tile=huge");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("pack-tile"), std::string::npos);
-    EXPECT_NE(what.find("auto"), std::string::npos);
-    EXPECT_NE(what.find("positive"), std::string::npos);
+  // The engine has one layout and derives its tile width, so these keys
+  // fail like any unknown key, with or without pack.
+  for (const std::string key :
+       {"pack-layout=slots", "pack-tile=4", "pack-share-j=1"}) {
+    for (const std::string spec : {"prop,", "prop,pack=4,"}) {
+      try {
+        SolverRegistry::global().make_from_spec(spec + key);
+        FAIL() << "expected invalid_argument for " << spec + key;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("does not take key"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack=4,pack-tile=0"),
-      std::invalid_argument);
-  const auto tiled = SolverRegistry::global().make_from_spec(
-      "prop,pack=16,pack-tile=8,pack-share-j=1");
-  EXPECT_EQ(tiled->name(), "ising-bsb-pack");
+}
+
+TEST(PackedCoreCopSolver, PackingPaysOnlyInsideTheMeasuredBand) {
+  // Anchors of the crossover measurement: slots win at 192 spins for
+  // R = 1 and R = 4; the unpacked engine wins at R = 8 and R = 16, and at
+  // 768 spins for R = 1.
+  EXPECT_TRUE(PackedCoreCopSolver::packing_pays(1, 192));
+  EXPECT_TRUE(PackedCoreCopSolver::packing_pays(4, 192));
+  EXPECT_FALSE(PackedCoreCopSolver::packing_pays(8, 192));
+  EXPECT_FALSE(PackedCoreCopSolver::packing_pays(16, 192));
+  EXPECT_FALSE(PackedCoreCopSolver::packing_pays(1, 768));
+}
+
+TEST(PackedCoreCopSolver, SmallReplicaBatchRunsPacked) {
+  const std::vector<ColumnCop> cops = same_shape_batch(8);
+  const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
+  const RunContext ctx(std::uint64_t{7});
+  std::vector<CoreSolveStats> stats;
+  const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
+  EXPECT_GT(ctx.telemetry().counter("ising/pack/runs"), 0u);
+  expect_matches_looped(cops, seeds, batch, stats, "R=1");
+}
+
+TEST(PackedCoreCopSolver, HighReplicaBatchRunsUnpackedAndBitIdentical) {
+  const std::vector<ColumnCop> cops = same_shape_batch(8);
+  const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,replicas=8,pack=16");
+  const auto plain =
+      SolverRegistry::global().make_from_spec("prop,n=9,replicas=8");
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const RunContext ctx = pooled_context(threads);
+    std::vector<CoreSolveStats> stats;
+    const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
+    EXPECT_EQ(ctx.telemetry().counter("ising/pack/runs"), 0u);
+    const RunContext ref_ctx(std::uint64_t{7});
+    for (std::size_t i = 0; i < cops.size(); ++i) {
+      CoreSolveStats ref_stats;
+      const ColumnSetting ref =
+          plain->solve(cops[i], ref_ctx, seeds[i], &ref_stats);
+      EXPECT_TRUE(ref.v1 == batch[i].v1 && ref.v2 == batch[i].v2 &&
+                  ref.t == batch[i].t)
+          << threads << " threads, instance " << i;
+      EXPECT_EQ(ref_stats.objective, stats[i].objective);
+      EXPECT_EQ(ref_stats.iterations, stats[i].iterations);
+      EXPECT_EQ(ref_stats.stopped_early, stats[i].stopped_early);
+    }
+  }
 }
 
 // --------------------------------------------------- end-to-end DALTA runs
@@ -823,18 +777,24 @@ TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
   const auto packed =
       SolverRegistry::global().make_from_spec("prop,n=8,pack=4");
   const auto a = run_dalta(exact, dist, params, *plain);
-  const auto b = run_dalta(exact, dist, params, *packed);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    RunContext::Options opts;
+    opts.seed = params.seed;
+    opts.threads = threads;
+    const RunContext ctx(opts);
+    const auto b = run_dalta(exact, dist, params, *packed, ctx);
 
-  EXPECT_EQ(a.med, b.med);
-  EXPECT_EQ(a.error_rate, b.error_rate);
-  EXPECT_EQ(a.cop_solves, b.cop_solves);
-  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
-  for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
-    ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
-  }
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (std::size_t k = 0; k < a.outputs.size(); ++k) {
-    EXPECT_EQ(a.outputs[k].objective, b.outputs[k].objective);
+    EXPECT_EQ(a.med, b.med) << threads << " threads";
+    EXPECT_EQ(a.error_rate, b.error_rate);
+    EXPECT_EQ(a.cop_solves, b.cop_solves);
+    EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+    for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+      ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    }
+    ASSERT_EQ(a.outputs.size(), b.outputs.size());
+    for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+      EXPECT_EQ(a.outputs[k].objective, b.outputs[k].objective);
+    }
   }
 }
 

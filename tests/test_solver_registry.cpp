@@ -153,6 +153,34 @@ TEST(SolverRegistry, MalformedValuesThrow) {
                std::invalid_argument);
 }
 
+// replicas=0 / restarts=0 are refused, not clamped to 1 — on prop and on
+// the engine entries that share its count keys — and the error names the
+// solver and the key.
+TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
+  for (const std::string solver : {"prop", "simcim"}) {
+    for (const std::string key : {"replicas", "restarts"}) {
+      try {
+        (void)SolverRegistry::global().make_from_spec(solver + "," + key +
+                                                      "=0");
+        FAIL() << "expected invalid_argument for " << solver << " " << key;
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("solver '" + solver + "': key '" + key + "'"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(">= 1"), std::string::npos) << msg;
+      }
+    }
+  }
+  // The packed prop path validates before building the packed solver.
+  EXPECT_THROW(
+      (void)SolverRegistry::global().make_from_spec("prop,pack=4,replicas=0"),
+      std::invalid_argument);
+  // One still builds.
+  EXPECT_NO_THROW(
+      (void)SolverRegistry::global().make_from_spec("simcim,replicas=1"));
+}
+
 TEST(SolverRegistry, SpecParsing) {
   const auto [name, config] =
       SolverRegistry::parse_spec("prop,replicas=4,stop-epsilon=1e-6");

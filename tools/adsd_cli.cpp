@@ -28,8 +28,10 @@
 //         --pack <K>        pack up to K candidate solves per force pass
 //                           (prop solver; shorthand for the pack config
 //                           key; a batch is split so that every pool
-//                           thread gets a pack; results are bit-identical
-//                           to unpacked)
+//                           thread gets a pack, and batches where packing
+//                           does not pay -- high replica counts, large
+//                           COPs -- run unpacked; results are
+//                           bit-identical to unpacked either way)
 //         --threads <t>     worker threads for the partition fan-out
 //                           (>= 1; default: hardware concurrency)
 //         --telemetry <file>  write the run's telemetry report as JSON
@@ -221,18 +223,9 @@ int cmd_list_solvers() {
     }
     std::string keys;
     for (const auto& k : entry.keys) {
-      // The pack-family keys take constrained values; spell them out here
-      // so `list-solvers` is enough to write a valid spec.
-      std::string shown = k;
-      if (k == "pack") {
-        shown = "pack=<max K>";
-      } else if (k == "pack-layout") {
-        shown = "pack-layout=auto|slots|blocks";
-      } else if (k == "pack-tile") {
-        shown = "pack-tile=auto|<slots>";
-      } else if (k == "pack-share-j") {
-        shown = "pack-share-j=0|1";
-      }
+      // The pack key takes a cap, not a switch; spell it out here so
+      // `list-solvers` is enough to write a valid spec.
+      const std::string shown = k == "pack" ? "pack=<max K>" : k;
       keys += keys.empty() ? shown : ", " + shown;
     }
     const bool takes_kernel =
@@ -251,7 +244,9 @@ int cmd_list_solvers() {
     std::cout << " " << kernels::force_kernel_name(k);
   }
   std::cout << "\npack=<max K> caps the members of one packed force pass; "
-               "a batch is split so that every pool thread gets a pack\n";
+               "a batch is split so that every pool thread gets a pack, and "
+               "batches outside the band where packing pays (high replica "
+               "counts, large COPs) run unpacked\n";
   return 0;
 }
 
