@@ -118,7 +118,6 @@ SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
              std::size_t replicas) mutable {
     cop.reset_optimal_t_planes(x, y, replicas, cost_scratch,
                                anti_collapse ? &degenerate : nullptr);
-    ctx.telemetry().add("ising/theorem3/resets", replicas);
     qor_add(ctx.qor(), "ising/theorem3/resets",
             static_cast<double>(replicas));
     if (MetricsRegistry* m = ctx.metrics()) {
@@ -137,7 +136,6 @@ SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
       }
     }
     if (intervened > 0) {
-      ctx.telemetry().add("ising/theorem3/anti_collapse", intervened);
       qor_add(ctx.qor(), "ising/theorem3/anti_collapse",
               static_cast<double>(intervened));
       if (MetricsRegistry* m = ctx.metrics()) {
@@ -442,6 +440,16 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
   }
 }
 
+/// The core_* counters of one finished solve.
+void record_core_solve(MetricsRegistry& m, const std::string& solver,
+                       const CoreSolveStats& s) {
+  m.counter("core_solves_total", {{"solver", solver}}).add();
+  m.counter("core_iterations_total", {{"solver", solver}}).add(s.iterations);
+  if (s.stopped_early) {
+    m.counter("core_early_stops_total", {{"solver", solver}}).add();
+  }
+}
+
 }  // namespace
 
 ColumnSetting CoreCopSolver::solve(const ColumnCop& cop, const RunContext& ctx,
@@ -449,26 +457,13 @@ ColumnSetting CoreCopSolver::solve(const ColumnCop& cop, const RunContext& ctx,
                                    CoreSolveStats* stats) const {
   CoreSolveStats local;
   CoreSolveStats* out = stats != nullptr ? stats : &local;
-  TelemetrySink& sink = ctx.telemetry();
-  const std::string span_path = "core/solve/" + name();
-  const auto span = sink.span(span_path);
-  const TraceSpan trace_span(ctx.tracer(), span_path);
+  const TraceSpan trace_span(ctx.tracer(), "core/solve/" + name());
   const Timer solve_timer;
   ColumnSetting s = do_solve(cop, ctx, seed, out);
-  sink.add("core/solves");
-  sink.add("core/iterations", out->iterations);
-  if (out->stopped_early) {
-    sink.add("core/early_stops");
-  }
   if (MetricsRegistry* m = ctx.metrics()) {
     // Solver-level latency (restarts + polish included, unlike the
     // per-engine-run solve_latency_us) and the cross-solve cadence.
-    m->counter("core_solves_total", {{"solver", name()}}).add();
-    m->counter("core_iterations_total", {{"solver", name()}})
-        .add(out->iterations);
-    if (out->stopped_early) {
-      m->counter("core_early_stops_total", {{"solver", name()}}).add();
-    }
+    record_core_solve(*m, name(), *out);
     m->histogram("core_solve_latency_us", {{"solver", name()}})
         .record(solve_timer.seconds() * 1e6);
   }
@@ -497,22 +492,18 @@ std::vector<ColumnSetting> CoreCopSolver::solve_batch(
       out[i] = solve(cops[i], ctx, seeds[i], &local[i]);
     }
   } else if (!cops.empty()) {
-    TelemetrySink& sink = ctx.telemetry();
-    const std::string span_path = "core/solve_batch/" + name();
-    const auto span = sink.span(span_path);
-    const TraceSpan trace_span(ctx.tracer(), span_path);
+    const TraceSpan trace_span(ctx.tracer(), "core/solve_batch/" + name());
     do_solve_batch(cops, ctx, seeds, out, local);
-    sink.add("core/solves", cops.size());
-    sink.add("core/batch_solves");
-    QorRecorder* q = ctx.qor();
-    const std::string qor_name =
-        q != nullptr ? "core/objective/" + name() : std::string{};
-    for (const CoreSolveStats& s : local) {
-      sink.add("core/iterations", s.iterations);
-      if (s.stopped_early) {
-        sink.add("core/early_stops");
+    // Every member counts as one core solve, exactly as if solve() had
+    // been called on it, so core_* totals match dalta_cop_solves_total.
+    if (MetricsRegistry* m = ctx.metrics()) {
+      for (const CoreSolveStats& s : local) {
+        record_core_solve(*m, name(), s);
       }
-      if (q != nullptr) {
+    }
+    if (QorRecorder* q = ctx.qor()) {
+      const std::string qor_name = "core/objective/" + name();
+      for (const CoreSolveStats& s : local) {
         q->sample(qor_name, s.objective);
       }
     }

@@ -18,9 +18,9 @@
 
 namespace adsd {
 
-/// Flat per-solve counters, kept for call sites that aggregate by hand;
-/// the context's TelemetrySink supersedes them for reporting (every solve
-/// records a span under "core/solve/<name>" plus iteration counters).
+/// Flat per-solve counters, kept for call sites that aggregate by hand.
+/// With metrics armed every solve also lands in core_solves_total,
+/// core_iterations_total and core_early_stops_total{solver=<name>}.
 struct CoreSolveStats {
   double objective = 0.0;
   std::size_t iterations = 0;   // solver-specific unit (Euler steps, sweeps, nodes)
@@ -33,7 +33,8 @@ struct CoreSolveStats {
 /// safe to call concurrently from multiple threads on distinct COPs.
 ///
 /// Non-virtual interface: callers use solve(), which threads the
-/// RunContext down and wraps every solve in a telemetry span; subclasses
+/// RunContext down, wraps every solve in a "core/solve/<name>" trace span
+/// and records the core_* metrics; subclasses
 /// implement do_solve(). The context-free overload runs under the
 /// process-wide RunContext::fallback() with identical semantics, so
 /// results never depend on which overload was called.
@@ -59,9 +60,10 @@ class CoreCopSolver {
   /// Solves `cops.size()` independent instances; `seeds[i]` is instance
   /// i's solve seed (same contract as solve()). Results and stats come
   /// back in input order. The default path loops solve() — identical
-  /// telemetry and results to a caller-side loop — while batched()
+  /// spans, metrics and results to a caller-side loop — while batched()
   /// solvers override do_solve_batch and get one "core/solve_batch/<name>"
-  /// span around the whole batch plus the usual per-solve counters.
+  /// trace span around the whole batch; each member still counts once in
+  /// the core_* metrics, as if solve() had run it.
   std::vector<ColumnSetting> solve_batch(
       std::span<const ColumnCop> cops, const RunContext& ctx,
       std::span<const std::uint64_t> seeds,

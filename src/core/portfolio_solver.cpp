@@ -7,7 +7,6 @@
 #include "core/solver_registry.hpp"
 #include "support/log.hpp"
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -46,7 +45,6 @@ ColumnSetting PortfolioCoreSolver::do_solve(const ColumnCop& cop,
                                             const RunContext& ctx,
                                             std::uint64_t seed,
                                             CoreSolveStats* stats) const {
-  TelemetrySink& telemetry = ctx.telemetry();
   const std::string family =
       "r" + std::to_string(cop.rows()) + "c" + std::to_string(cop.cols());
 
@@ -79,8 +77,6 @@ ColumnSetting PortfolioCoreSolver::do_solve(const ColumnCop& cop,
                  rate[i] >= options_.prune_below;
         });
     if (pruned != order.end()) {
-      telemetry.add("core/portfolio/pruned",
-                    static_cast<std::uint64_t>(order.end() - pruned));
       if (MetricsRegistry* m = ctx.metrics()) {
         m->counter("portfolio_member_prunes_total")
             .add(static_cast<std::uint64_t>(order.end() - pruned));
@@ -117,8 +113,6 @@ ColumnSetting PortfolioCoreSolver::do_solve(const ColumnCop& cop,
     if ((options_.budget_ms > 0.0 &&
          race_timer.seconds() * 1000.0 >= options_.budget_ms) ||
         ctx.expired()) {
-      telemetry.add("core/portfolio/budget_skips",
-                    static_cast<std::uint64_t>(order.size() - pos));
       if (MetricsRegistry* m = ctx.metrics()) {
         m->counter("portfolio_member_skips_total")
             .add(static_cast<std::uint64_t>(order.size() - pos));
@@ -146,9 +140,6 @@ ColumnSetting PortfolioCoreSolver::do_solve(const ColumnCop& cop,
     }
   }
 
-  telemetry.add("core/portfolio/races");
-  telemetry.add("core/portfolio/wins/" +
-                spec_head(options_.member_specs[winner]));
   if (MetricsRegistry* m = ctx.metrics()) {
     m->counter("portfolio_races_total").add();
     m->counter("portfolio_member_wins_total",

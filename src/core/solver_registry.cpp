@@ -17,14 +17,27 @@ namespace {
                               "' is not a valid " + want);
 }
 
-// A count key that must be at least 1 (replicas, restarts): 0 is refused
-// like an unknown key instead of being clamped to 1.
+// A count key that must be at least 1 (replicas, restarts, max-iter,
+// sweeps): 0 is refused at spec parse, naming the solver and key, instead
+// of being clamped or failing later inside the engine.
 std::size_t positive_size(const SolverConfig& c, const std::string& solver,
-                          const std::string& key) {
-  const std::size_t value = c.get_size(key, 1);
+                          const std::string& key, std::size_t fallback = 1) {
+  const std::size_t value = c.get_size(key, fallback);
   if (value == 0) {
     throw std::invalid_argument("solver '" + solver + "': key '" + key +
                                 "' must be >= 1 (got '0')");
+  }
+  return value;
+}
+
+// A real key that must be strictly positive (the dt step).
+double positive_double(const SolverConfig& c, const std::string& solver,
+                       const std::string& key, double fallback) {
+  const double value = c.get_double(key, fallback);
+  if (!(value > 0.0)) {
+    throw std::invalid_argument("solver '" + solver + "': key '" + key +
+                                "' must be > 0 (got '" +
+                                c.get_string(key, "") + "')");
   }
   return value;
 }
@@ -227,9 +240,9 @@ const SolverRegistry& SolverRegistry::global() {
              options.anti_collapse = c.get_bool("anti-collapse", true);
              options.final_polish = c.get_bool("polish", true);
              options.column_seed_init = c.get_bool("seed-init", true);
-             options.sb.max_iterations =
-                 c.get_size("max-iter", options.sb.max_iterations);
-             options.sb.dt = c.get_double("dt", options.sb.dt);
+             options.sb.max_iterations = positive_size(
+                 c, "prop", "max-iter", options.sb.max_iterations);
+             options.sb.dt = positive_double(c, "prop", "dt", options.sb.dt);
              options.sb.discrete = c.get_bool("discrete", false);
              options.sb.kernel = kernels::parse_force_kernel(
                  c.get_string("kernel", "auto"));
@@ -296,7 +309,8 @@ const SolverRegistry& SolverRegistry::global() {
              // feedback and anti-collapse interventions don't apply.
              options.use_theorem3 = false;
              options.anti_collapse = false;
-             options.sa.sweeps = c.get_size("sweeps", options.sa.sweeps);
+             options.sa.sweeps =
+                 positive_size(c, "sa", "sweeps", options.sa.sweeps);
              options.sa.beta_start =
                  c.get_double("beta-start", options.sa.beta_start);
              options.sa.beta_end =
@@ -320,9 +334,10 @@ const SolverRegistry& SolverRegistry::global() {
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kSimcim;
              apply_shared_keys(c, "simcim", options);
-             options.simcim.max_iterations =
-                 c.get_size("max-iter", options.simcim.max_iterations);
-             options.simcim.dt = c.get_double("dt", options.simcim.dt);
+             options.simcim.max_iterations = positive_size(
+                 c, "simcim", "max-iter", options.simcim.max_iterations);
+             options.simcim.dt =
+                 positive_double(c, "simcim", "dt", options.simcim.dt);
              options.simcim.pump_start =
                  c.get_double("pump-start", options.simcim.pump_start);
              options.simcim.pump_end =
@@ -351,8 +366,8 @@ const SolverRegistry& SolverRegistry::global() {
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kDoch;
              apply_shared_keys(c, "doch", options);
-             options.doch.max_iterations =
-                 c.get_size("max-iter", options.doch.max_iterations);
+             options.doch.max_iterations = positive_size(
+                 c, "doch", "max-iter", options.doch.max_iterations);
              options.doch.rho = c.get_double("rho", options.doch.rho);
              options.doch.momentum =
                  c.get_double("momentum", options.doch.momentum);

@@ -30,7 +30,8 @@ class RunContext;
 /// model materialized a dense J plane, a blocked dense matrix x
 /// replica-plane kernel with no index gather — selected at construction
 /// from SbParams::kernel (kAuto by default) and reported via
-/// kernel_name() and the "ising/sb/kernel/<name>" telemetry counter.
+/// kernel_name(), the kernel_invocations_total{kernel=<name>} metric and
+/// the "ising/sb/kernel/<name>" QoR counter.
 /// Every variant is bit-identical by construction.
 ///
 /// Replica r reproduces the scalar reference solve_sb_scalar() with seed
@@ -50,7 +51,7 @@ class BsbBatchEngine final : public EnsembleEngineBase {
 
   // IsingEngine contract: the "ising/sb" counter and "ising/bsb" trace
   // namespaces are the engine's historical names, kept verbatim.
-  const char* telemetry_prefix() const override { return "ising/sb"; }
+  const char* counter_prefix() const override { return "ising/sb"; }
   const char* trace_prefix() const override { return "ising/bsb"; }
   std::string curve_name() const override;
   std::size_t max_iterations() const override { return params_.max_iterations; }
@@ -61,8 +62,6 @@ class BsbBatchEngine final : public EnsembleEngineBase {
     params_.max_iterations = max_iterations;
   }
   void advance(std::size_t /*iter*/) override { step(); }
-  void record_totals(TelemetrySink& sink, std::size_t iterations,
-                     std::size_t energy_samples) const override;
 
  private:
   SbParams params_;
@@ -77,7 +76,7 @@ class BsbBatchEngine final : public EnsembleEngineBase {
 /// strided view (no copies); `plane_hook` (if any) runs once per sampling
 /// point over the whole ensemble before the per-replica hook. A non-null
 /// `ctx` enables row-sharded force evaluation over ctx->pool(), deadline
-/// checks, and step counters in ctx->telemetry().
+/// checks, and the engine_* metrics.
 IsingSolveResult solve_sb_batch(const IsingModel& model, const SbParams& params,
                                 std::size_t replicas,
                                 const SbBatchHook& hook = nullptr,

@@ -71,7 +71,7 @@ class DochEngine final : public EnsembleEngineBase {
   /// Resolved proximal weight (after the auto rule).
   double rho() const { return rho_; }
 
-  const char* telemetry_prefix() const override { return "ising/doch"; }
+  const char* counter_prefix() const override { return "ising/doch"; }
   const char* trace_prefix() const override { return "ising/doch"; }
   std::string curve_name() const override;
   std::size_t max_iterations() const override { return params_.max_iterations; }
@@ -82,8 +82,6 @@ class DochEngine final : public EnsembleEngineBase {
     params_.max_iterations = max_iterations;
   }
   void advance(std::size_t iter) override;
-  void record_totals(TelemetrySink& sink, std::size_t iterations,
-                     std::size_t energy_samples) const override;
 
  private:
   DochParams params_;

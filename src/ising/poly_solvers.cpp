@@ -116,8 +116,8 @@ IsingSolveResult solve_sb_poly(const PolyIsingModel& model,
 
   consider(x);
   result.iterations = iter;
-  if (ctx != nullptr) {
-    ctx->telemetry().add("ising/sb_poly/steps", iter);
+  if (MetricsRegistry* m = ctx != nullptr ? ctx->metrics() : nullptr) {
+    m->counter("engine_iterations_total", {{"engine", "sb_poly"}}).add(iter);
   }
   return result;
 }
@@ -173,8 +173,8 @@ IsingSolveResult solve_sa_poly(const PolyIsingModel& model,
   }
 
   result.iterations = sweep;
-  if (ctx != nullptr) {
-    ctx->telemetry().add("ising/sa_poly/sweeps", sweep);
+  if (MetricsRegistry* m = ctx != nullptr ? ctx->metrics() : nullptr) {
+    m->counter("engine_iterations_total", {{"engine", "sa_poly"}}).add(sweep);
   }
   return result;
 }

@@ -12,14 +12,15 @@ class RunContext;
 /// APEX 2022, the paper's ref. [19]): identical oscillator dynamics to
 /// solve_sb(), with the mean-field force generalized to the polynomial
 /// gradient -dE/dx. Shares SbParams and the sampling-hook contract. A
-/// non-null `ctx` enables deadline checks and telemetry counters.
+/// non-null `ctx` enables deadline checks and the
+/// engine_iterations_total{engine="sb_poly"} metric.
 IsingSolveResult solve_sb_poly(const PolyIsingModel& model,
                                const SbParams& params,
                                const SbSampleHook& hook = nullptr,
                                const RunContext* ctx = nullptr);
 
 /// Metropolis annealing on a higher-order model (flip deltas via the term
-/// incidence lists).
+/// incidence lists); sweeps count under engine="sa_poly".
 IsingSolveResult solve_sa_poly(const PolyIsingModel& model,
                                const SaParams& params,
                                const RunContext* ctx = nullptr);

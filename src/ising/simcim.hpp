@@ -67,7 +67,7 @@ class SimcimEngine final : public EnsembleEngineBase {
   SimcimEngine(const IsingModel& model, const SimcimParams& params,
                std::size_t replicas);
 
-  const char* telemetry_prefix() const override { return "ising/simcim"; }
+  const char* counter_prefix() const override { return "ising/simcim"; }
   const char* trace_prefix() const override { return "ising/simcim"; }
   std::string curve_name() const override;
   std::size_t max_iterations() const override { return params_.max_iterations; }
@@ -78,8 +78,6 @@ class SimcimEngine final : public EnsembleEngineBase {
     params_.max_iterations = max_iterations;
   }
   void advance(std::size_t iter) override;
-  void record_totals(TelemetrySink& sink, std::size_t iterations,
-                     std::size_t energy_samples) const override;
 
  private:
   SimcimParams params_;

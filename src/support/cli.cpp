@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -28,6 +29,23 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     } else {
       options_[arg] = "";
     }
+  }
+}
+
+void CliArgs::reject_unknown(const std::string& command,
+                             const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) {
+      continue;
+    }
+    std::vector<std::string> sorted = known;
+    std::sort(sorted.begin(), sorted.end());
+    std::string list;
+    for (const std::string& k : sorted) {
+      list += (list.empty() ? "--" : ", --") + k;
+    }
+    throw std::invalid_argument(command + " does not take option '--" + name +
+                                "' (options: " + list + ")");
   }
 }
 

@@ -11,7 +11,8 @@ namespace adsd {
 ///
 /// Accepts `--name value`, `--name=value`, and bare `--flag` forms. Unknown
 /// options are collected rather than rejected so that harness scripts can
-/// pass experiment-specific knobs through a shared runner.
+/// pass experiment-specific knobs through a shared runner; a command with a
+/// fixed option set calls reject_unknown() to refuse the rest.
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -31,6 +32,13 @@ class CliArgs {
                                 std::size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  /// Throws std::invalid_argument naming the first option (in sorted
+  /// order) that is not in `known`, e.g. "decompose does not take option
+  /// '--telemtry' (options: --budget, ...)", so a misspelled or removed
+  /// flag fails instead of being ignored.
+  void reject_unknown(const std::string& command,
+                      const std::vector<std::string>& known) const;
 
   /// Positional (non `--`) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -68,14 +68,24 @@ class Parser {
     return false;
   }
 
+  // Containers recurse, so nesting is capped to keep adversarial input
+  // ("[[[[...") from overflowing the stack; the repo's artifacts nest a
+  // handful of levels deep.
+  static constexpr std::size_t kMaxDepth = 512;
+
   Value parse_value() {
     skip_ws();
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value::make_string(parse_string());
       case 't':
@@ -294,6 +304,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

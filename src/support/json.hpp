@@ -11,7 +11,7 @@
 namespace adsd::json {
 
 /// Minimal read-only JSON document model: just enough to load and validate
-/// the observability artifacts this repo emits (telemetry reports, Chrome
+/// the observability artifacts this repo emits (metrics snapshots, Chrome
 /// trace_event files, run reports) without an external dependency. Parsing
 /// is strict RFC-8259 except that it accepts (and ignores) a UTF-8 BOM; on
 /// malformed input parse() throws std::runtime_error with a byte offset.
@@ -61,7 +61,8 @@ class Value {
 };
 
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws std::runtime_error on malformed input.
+/// garbage rejected). Throws std::runtime_error on malformed input and on
+/// arrays/objects nested more than 512 deep.
 Value parse(std::string_view text);
 
 /// Serializes a Value as RFC 8259 JSON. Object keys come out sorted (the

@@ -13,8 +13,8 @@ namespace adsd {
 
 /// Quality-of-result recorder for one solve run.
 ///
-/// Complements the TelemetrySink/TraceRecorder pair: where those observe how
-/// long the solver took and where the time went, the QorRecorder observes
+/// Complements the MetricsRegistry/TraceRecorder pair: where those observe
+/// how long the solver took and where the time went, the QorRecorder observes
 /// what the solver *achieved* — per-output error rate of the committed
 /// decompositions, accepted-vs-tried candidate partitions, the objective
 /// distribution per core solver, bSB best-energy-vs-iteration convergence

@@ -728,10 +728,13 @@ TEST(PackedCoreCopSolver, SmallReplicaBatchRunsPacked) {
   const std::vector<std::uint64_t> seeds = batch_seeds(cops.size());
   const auto packed =
       SolverRegistry::global().make_from_spec("prop,n=9,pack=16");
-  const RunContext ctx(std::uint64_t{7});
+  MetricsRegistry::Counter& runs =
+      MetricsRegistry::global().counter("pack_runs_total");
+  const std::uint64_t runs0 = runs.value();
+  const RunContext ctx = pooled_context(1, /*metrics=*/true);
   std::vector<CoreSolveStats> stats;
   const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
-  EXPECT_GT(ctx.telemetry().counter("ising/pack/runs"), 0u);
+  EXPECT_GT(runs.value() - runs0, 0u);
   expect_matches_looped(cops, seeds, batch, stats, "R=1");
 }
 
@@ -742,11 +745,14 @@ TEST(PackedCoreCopSolver, HighReplicaBatchRunsUnpackedAndBitIdentical) {
       SolverRegistry::global().make_from_spec("prop,n=9,replicas=8,pack=16");
   const auto plain =
       SolverRegistry::global().make_from_spec("prop,n=9,replicas=8");
+  MetricsRegistry::Counter& runs =
+      MetricsRegistry::global().counter("pack_runs_total");
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const RunContext ctx = pooled_context(threads);
+    const std::uint64_t runs0 = runs.value();
+    const RunContext ctx = pooled_context(threads, /*metrics=*/true);
     std::vector<CoreSolveStats> stats;
     const auto batch = packed->solve_batch(cops, ctx, seeds, &stats);
-    EXPECT_EQ(ctx.telemetry().counter("ising/pack/runs"), 0u);
+    EXPECT_EQ(runs.value() - runs0, 0u);
     const RunContext ref_ctx(std::uint64_t{7});
     for (std::size_t i = 0; i < cops.size(); ++i) {
       CoreSolveStats ref_stats;

@@ -10,11 +10,24 @@
 #include "core/column_cop.hpp"
 #include "core/portfolio_solver.hpp"
 #include "core/solver_registry.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
+
+/// A context with metrics armed: the portfolio's race counters live in the
+/// process-wide registry, so tests read deltas around their solves.
+RunContext metrics_context() {
+  RunContext::Options opts;
+  opts.metrics = true;
+  return RunContext(opts);
+}
+
+std::uint64_t counter_value(const char* name) {
+  return MetricsRegistry::global().counter(name).value();
+}
 
 ColumnCop random_cop(std::uint64_t seed, std::size_t r, std::size_t c) {
   Rng rng(seed);
@@ -60,11 +73,12 @@ TEST(Portfolio, DeterministicForFixedSeed) {
 TEST(Portfolio, RaceTelemetryCountsEveryRace) {
   const auto portfolio =
       SolverRegistry::global().make_from_spec("portfolio,n=5");
-  const RunContext ctx{RunContext::Options{}};
+  const std::uint64_t races0 = counter_value("portfolio_races_total");
+  const RunContext ctx = metrics_context();
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     (void)portfolio->solve(random_cop(seed, 5, 12), ctx, seed, nullptr);
   }
-  EXPECT_EQ(ctx.telemetry().counter("core/portfolio/races"), 3u);
+  EXPECT_EQ(counter_value("portfolio_races_total") - races0, 3u);
 }
 
 TEST(Portfolio, TinyBudgetSkipsEveryNonAnchorMember) {
@@ -74,12 +88,13 @@ TEST(Portfolio, TinyBudgetSkipsEveryNonAnchorMember) {
   opt.budget_ms = 1e-6;
   const PortfolioCoreSolver portfolio(opt);
   ASSERT_EQ(portfolio.members().size(), 3u);
-  const RunContext ctx{RunContext::Options{}};
+  const std::uint64_t skips0 = counter_value("portfolio_member_skips_total");
+  const RunContext ctx = metrics_context();
   const ColumnCop cop = random_cop(2, 5, 12);
   CoreSolveStats stats;
   (void)portfolio.solve(cop, ctx, 1, &stats);
   EXPECT_TRUE(stats.stopped_early);
-  EXPECT_EQ(ctx.telemetry().counter("core/portfolio/budget_skips"), 2u);
+  EXPECT_EQ(counter_value("portfolio_member_skips_total") - skips0, 2u);
 }
 
 TEST(Portfolio, AdaptModeAccumulatesWinRecordsPerFamily) {
@@ -114,14 +129,15 @@ TEST(Portfolio, AdaptModePrunesHopelessMembers) {
   opt.min_trials = 1;
   opt.prune_below = 1.0;
   const PortfolioCoreSolver portfolio(opt);
-  const RunContext ctx{RunContext::Options{}};
+  const std::uint64_t prunes0 = counter_value("portfolio_member_prunes_total");
+  const RunContext ctx = metrics_context();
   (void)portfolio.solve(random_cop(1, 5, 12), ctx, 1, nullptr);
   const std::uint64_t first = portfolio.win_rates().total_trials();
   EXPECT_EQ(first, 3u);
   (void)portfolio.solve(random_cop(2, 5, 12), ctx, 2, nullptr);
   // At most the anchor plus one surviving winner raced the second time.
   EXPECT_LE(portfolio.win_rates().total_trials(), first + 2);
-  EXPECT_GE(ctx.telemetry().counter("core/portfolio/pruned"), 1u);
+  EXPECT_GE(counter_value("portfolio_member_prunes_total") - prunes0, 1u);
 }
 
 TEST(Portfolio, RejectsBadConfigurations) {

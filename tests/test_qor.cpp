@@ -8,6 +8,7 @@
 #include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
 #include "support/json.hpp"
+#include "support/metrics.hpp"
 #include "support/qor.hpp"
 #include "support/run_context.hpp"
 
@@ -230,15 +231,6 @@ TEST(QorIntegration, DaltaRunFillsDecisionsCurvesAndFinal) {
   EXPECT_TRUE(doc.at("samples").contains("core/objective/ising-bsb"));
 }
 
-double counter_total(const TelemetrySink& sink, const std::string& path) {
-  for (const auto& m : sink.snapshot()) {
-    if (m.path == path) {
-      return static_cast<double>(m.sum);
-    }
-  }
-  return 0.0;
-}
-
 TEST(QorIntegration, TightDeadlineTriggersBudgetRescale) {
   const auto exact = make_benchmark_table("exp", 8, 8);
   const auto dist = InputDistribution::uniform(8);
@@ -259,15 +251,19 @@ TEST(QorIntegration, TightDeadlineTriggersBudgetRescale) {
   params.seed = 3;
   params.parallel = false;
 
+  MetricsRegistry::Counter& rescales = MetricsRegistry::global().counter(
+      "engine_budget_rescales_total", {{"engine", "sb"}});
+  const std::uint64_t rescales0 = rescales.value();
   RunContext::Options opts;
   opts.seed = params.seed;
   opts.qor = true;
+  opts.metrics = true;
   opts.parallel = false;
   opts.time_budget_s = 0.05;
   const RunContext ctx(opts);
   (void)run_dalta(exact, dist, params, *solver, ctx);
 
-  EXPECT_GT(counter_total(ctx.telemetry(), "ising/sb/budget_rescales"), 0.0);
+  EXPECT_GT(rescales.value() - rescales0, 0u);
   EXPECT_GT(ctx.qor()->counter("ising/sb/budget_rescales"), 0.0);
 }
 

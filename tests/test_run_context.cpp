@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -10,79 +9,10 @@
 #include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 #include "support/thread_pool.hpp"
 
 namespace adsd {
 namespace {
-
-// ------------------------------------------------------------- telemetry
-
-TEST(Telemetry, CountersAggregate) {
-  TelemetrySink sink;
-  sink.add("a/b");
-  sink.add("a/b", 4);
-  sink.add("a/c", 2);
-  EXPECT_EQ(sink.counter("a/b"), 5u);
-  EXPECT_EQ(sink.counter("a/c"), 2u);
-  EXPECT_EQ(sink.counter("missing"), 0u);
-}
-
-TEST(Telemetry, SpansRecordDurationAggregates) {
-  TelemetrySink sink;
-  sink.record_ns("s", 100);
-  sink.record_ns("s", 300);
-  const auto snap = sink.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].path, "s");
-  EXPECT_TRUE(snap[0].is_span);
-  EXPECT_EQ(snap[0].count, 2u);
-  EXPECT_EQ(snap[0].total_ns, 400u);
-  EXPECT_EQ(snap[0].min_ns, 100u);
-  EXPECT_EQ(snap[0].max_ns, 300u);
-}
-
-TEST(Telemetry, RaiiSpanClosesOnDestruction) {
-  TelemetrySink sink;
-  { const auto s = sink.span("scope"); }
-  const auto snap = sink.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].count, 1u);
-  EXPECT_TRUE(snap[0].is_span);
-}
-
-TEST(Telemetry, ConcurrentUpdatesAreLossless) {
-  TelemetrySink sink;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink] {
-      for (int i = 0; i < kPerThread; ++i) {
-        sink.add("hot", 1);
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(sink.counter("hot"),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(Telemetry, JsonReportIsStableAndSorted) {
-  TelemetrySink sink;
-  sink.add("z/counter", 7);
-  sink.add("a/counter", 3);
-  sink.record_ns("m/span", 1000000);
-  const std::string a = sink.to_json();
-  const std::string b = sink.to_json();
-  EXPECT_EQ(a, b);
-  EXPECT_LT(a.find("\"a/counter\": 3"), a.find("\"z/counter\": 7"));
-  EXPECT_NE(a.find("\"counters\""), std::string::npos);
-  EXPECT_NE(a.find("\"spans\""), std::string::npos);
-  EXPECT_NE(a.find("\"m/span\""), std::string::npos);
-}
 
 // ----------------------------------------------------------- RNG streams
 
@@ -236,30 +166,45 @@ TEST(RunContext, ContextOverloadMatchesLegacyOverload) {
   EXPECT_EQ(legacy.med, modern.med);
 }
 
-TEST(RunContext, TelemetryCapturesSolveHierarchy) {
+// Every core-COP solve counts once in the core_* metrics, whether the
+// solver ran it alone or as a member of a packed solve_batch.
+TEST(RunContext, MetricsCountEveryCoreSolve) {
   const auto exact = make_benchmark_table("exp", 6, 4);
   const auto dist = InputDistribution::uniform(6);
   DaltaParams params;
   params.free_size = 3;
   params.num_partitions = 4;
   params.rounds = 1;
-  const auto solver = SolverRegistry::global().make_from_spec("prop,n=6");
+  MetricsRegistry& reg = MetricsRegistry::global();
 
-  const RunContext ctx(std::uint64_t{3});
-  const auto res = run_dalta(exact, dist, params, *solver, ctx);
-  const TelemetrySink& sink = ctx.telemetry();
-  EXPECT_EQ(sink.counter("dalta/cop_solves"), res.cop_solves);
-  EXPECT_EQ(sink.counter("core/solves"), res.cop_solves);
-  EXPECT_EQ(sink.counter("core/iterations"), res.solver_iterations);
+  for (const std::string spec : {"prop,n=6", "prop,n=6,pack=16"}) {
+    const auto solver = SolverRegistry::global().make_from_spec(spec);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(spec + " threads=" + std::to_string(threads));
+      const std::string name = solver->name();
+      auto core = [&](const char* family) {
+        return reg.counter(family, {{"solver", name}}).value();
+      };
+      const std::uint64_t solves0 = core("core_solves_total");
+      const std::uint64_t iters0 = core("core_iterations_total");
+      const std::uint64_t dalta0 =
+          reg.counter("dalta_cop_solves_total").value();
 
-  bool found_solve_span = false;
-  bool found_run_span = false;
-  for (const auto& m : sink.snapshot()) {
-    found_solve_span |= m.path == "core/solve/ising-bsb" && m.is_span;
-    found_run_span |= m.path == "dalta/run" && m.is_span;
+      RunContext::Options opts;
+      opts.seed = 3;
+      opts.threads = threads;
+      opts.metrics = true;
+      const RunContext ctx(opts);
+      const auto res = run_dalta(exact, dist, params, *solver, ctx);
+
+      ASSERT_GT(res.cop_solves, 0u);
+      EXPECT_EQ(reg.counter("dalta_cop_solves_total").value() - dalta0,
+                res.cop_solves);
+      EXPECT_EQ(core("core_solves_total") - solves0, res.cop_solves);
+      EXPECT_EQ(core("core_iterations_total") - iters0,
+                res.solver_iterations);
+    }
   }
-  EXPECT_TRUE(found_solve_span);
-  EXPECT_TRUE(found_run_span);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(SolverRegistry, AllCanonicalNamesBuild) {
 TEST(SolverRegistry, AliasesResolveToTheSameEntryAsTheClassName) {
   const SolverRegistry& r = SolverRegistry::global();
   // Aliases are the CoreCopSolver::name() strings, so registry lookups and
-  // telemetry paths ("core/solve/<name>") agree.
+  // trace span paths ("core/solve/<name>") agree.
   const std::pair<const char*, const char*> pairs[] = {
       {"prop", "ising-bsb"},     {"dalta", "dalta-greedy"},
       {"ilp", "ilp-bnb"},        {"ba", "ba-anneal"},
@@ -170,6 +170,35 @@ TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
             << msg;
         EXPECT_NE(msg.find(">= 1"), std::string::npos) << msg;
       }
+    }
+  }
+  // Iteration caps, sweep counts and the dt step fail the same way at spec
+  // parse, not later as an anonymous engine "bad parameters".
+  const struct {
+    const char* spec;
+    const char* solver;
+    const char* key;
+    const char* want;
+  } limits[] = {
+      {"prop,max-iter=0", "prop", "max-iter", ">= 1 (got '0')"},
+      {"prop,dt=-1", "prop", "dt", "> 0 (got '-1')"},
+      {"prop,dt=0", "prop", "dt", "> 0 (got '0')"},
+      {"sa,sweeps=0", "sa", "sweeps", ">= 1 (got '0')"},
+      {"simcim,max-iter=0", "simcim", "max-iter", ">= 1 (got '0')"},
+      {"simcim,dt=-0.5", "simcim", "dt", "> 0 (got '-0.5')"},
+      {"doch,max-iter=0", "doch", "max-iter", ">= 1 (got '0')"},
+      {"prop,pack=4,max-iter=0", "prop", "max-iter", ">= 1 (got '0')"},
+  };
+  for (const auto& limit : limits) {
+    try {
+      (void)SolverRegistry::global().make_from_spec(limit.spec);
+      FAIL() << "expected invalid_argument for " << limit.spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("solver '") +
+                                           limit.solver + "': key '" +
+                                           limit.key + "' must be " +
+                                           limit.want)
+          << limit.spec;
     }
   }
   // The packed prop path validates before building the packed solver.

@@ -535,6 +535,21 @@ TEST(CliArgs, FlagFollowedByOption) {
   EXPECT_EQ(args.get_int("n", 0), 4);
 }
 
+TEST(CliArgs, RejectUnknownNamesTheFlag) {
+  const char* argv[] = {"prog", "decompose", "--n", "9", "--telemtry",
+                        "t.json"};
+  CliArgs args(6, argv);
+  EXPECT_NO_THROW(args.reject_unknown("decompose", {"n", "telemtry"}));
+  try {
+    args.reject_unknown("decompose", {"trace", "n"});
+    FAIL() << "unknown option accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "decompose does not take option '--telemtry' (options: --n, "
+              "--trace)");
+  }
+}
+
 TEST(CliArgs, BooleanSpellings) {
   const char* argv[] = {"prog", "--a=true", "--b=off", "--c=1", "--d=no"};
   CliArgs args(5, argv);

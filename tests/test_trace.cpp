@@ -1,7 +1,7 @@
 // Tests for the tracing layer: the in-repo JSON parser, TraceRecorder's
 // Chrome/report exports (balance under contention, pinned quantiles, drop
-// accounting), the zero-event disabled path, TelemetrySink saturation
-// reporting, and bit-identity of a traced vs untraced solve.
+// accounting), the zero-event disabled path, and bit-identity of a traced
+// vs untraced solve.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "funcs/registry.hpp"
 #include "support/json.hpp"
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace adsd {
@@ -219,34 +219,30 @@ TEST(TraceRecorder, SolveTraceContainsConvergenceCounters) {
   params.num_partitions = 3;
   params.rounds = 1;
   params.seed = 7;
+  MetricsRegistry& reg = MetricsRegistry::global();
+  MetricsRegistry::Counter& samples =
+      reg.counter("engine_energy_samples_total", {{"engine", "sb"}});
+  MetricsRegistry::Counter& resets = reg.counter("theorem3_resets_total");
+  const std::uint64_t samples0 = samples.value();
+  const std::uint64_t resets0 = resets.value();
   RunContext::Options opts;
   opts.seed = params.seed;
   opts.trace = true;
+  opts.metrics = true;
   const RunContext ctx(opts);
   (void)run_dalta(exact, dist, params, *solver, ctx);
 
-  const Value report = json::parse(ctx.tracer()->report_json(&ctx.telemetry()));
+  const Value report = json::parse(ctx.tracer()->report_json());
   EXPECT_TRUE(report.at("spans").contains("dalta/run"));
   EXPECT_TRUE(report.at("spans").contains("dalta/candidate"));
   EXPECT_TRUE(report.at("spans").contains("ising/bsb/run"));
   EXPECT_TRUE(report.at("counters").contains("ising/bsb/best_energy"));
   EXPECT_TRUE(report.at("counters").contains("ising/bsb/stop_variance"));
-  const Value& telemetry = report.at("telemetry");
-  EXPECT_GT(telemetry.at("counters").at("ising/sb/energy_samples")
-                .as_number(), 0.0);
-  EXPECT_TRUE(telemetry.at("counters").contains("ising/theorem3/resets"));
-}
-
-TEST(TelemetrySink, ReportsDroppedPathsOnSaturation) {
-  TelemetrySink sink;
-  for (int i = 0; i < 2000; ++i) {
-    sink.add("spill/" + std::to_string(i));
-  }
-  EXPECT_GT(sink.dropped(), 0u);
-  const Value doc = json::parse(sink.to_json());
-  EXPECT_GT(doc.at("dropped").as_number(), 0.0);
-  // Early paths made it into the table and keep working.
-  EXPECT_EQ(sink.counter("spill/0"), 1u);
+  // The report no longer embeds a second counter store; the same run's
+  // totals live in the metrics registry.
+  EXPECT_FALSE(report.contains("telemetry"));
+  EXPECT_GT(samples.value() - samples0, 0u);
+  EXPECT_GT(resets.value() - resets0, 0u);
 }
 
 }  // namespace

@@ -34,22 +34,22 @@
 //                           bit-identical to unpacked either way)
 //         --threads <t>     worker threads for the partition fan-out
 //                           (>= 1; default: hardware concurrency)
-//         --telemetry <file>  write the run's telemetry report as JSON
 //         --trace <file>    write a Chrome trace_event JSON timeline of the
 //                           whole solve (load in chrome://tracing or
 //                           Perfetto; per-thread spans, bSB energy/variance
 //                           counters)
 //         --report <file>   write the compact run report JSON (per-span
 //                           p50/p95/p99 latencies, counter summaries,
-//                           per-thread utilization, embedded telemetry)
+//                           per-thread utilization)
 //         --qor <file>      write the quality-of-result record as JSON
 //                           (schema adsd-qor-v1: per-output error rates,
 //                           partition accept/try counts, bSB convergence
 //                           curves, LUT-bit ledger; see tools/bench_diff)
 //                           and print the per-output QoR summary table
-//         --metrics <file>  arm the process-wide MetricsRegistry and write
-//                           its snapshot after the run: solve-latency
-//                           histograms, per-engine/kernel counters,
+//         --metrics <file>  arm the process-wide MetricsRegistry -- the one
+//                           counter store -- and write its snapshot after
+//                           the run: solve-latency histograms, per-solve
+//                           (core_*), per-engine and per-kernel counters,
 //                           recorder drop counters (validate or
 //                           pretty-print with tools/metrics_summary)
 //         --metrics-format prom|json  exposition format for --metrics:
@@ -67,9 +67,9 @@
 //         --log-file <file> structured-log destination (default: stderr)
 //         --obs-dir <dir>   unified observability bundle: mint a run_id,
 //                           arm every recorder, and write log.jsonl,
-//                           telemetry.json, trace.json, report.json,
-//                           qor.json, metrics.prom, metrics.json, and
-//                           flight.json under <dir>/<run_id>/ — every
+//                           trace.json, report.json, qor.json,
+//                           metrics.prom, metrics.json, and flight.json
+//                           under <dir>/<run_id>/ — every
 //                           artifact stamped with the same run_id
 //                           (validate the join with tools/log_summary
 //                           --expect-run-id et al.)
@@ -81,6 +81,8 @@
 //         --verilog <file>  write a synthesizable module
 //         --testbench <file> write a self-checking testbench (n <= 12)
 //         --hex-out <file>  write the approximate table (.tt hex)
+//       Any other option is an error that names it (a misspelled or
+//       removed flag never runs silently without its output).
 //
 //   adsd_cli compare --exact a.tt --approx b.tt
 //       Report ER / MED / WCE / MRE between two tables.
@@ -266,6 +268,14 @@ InputDistribution load_distribution(const CliArgs& args, unsigned n) {
 }
 
 int cmd_decompose(const CliArgs& args) {
+  // Every option decompose reads, here or through bench/common.hpp.
+  args.reject_unknown(
+      "decompose",
+      {"function", "hex", "pla", "n", "m", "free", "shared", "mode",
+       "solver", "p", "rounds", "seed", "replicas", "kernel", "pack",
+       "ilp-budget", "threads", "trace", "report", "qor", "metrics",
+       "metrics-format", "postmortem", "log-level", "log-file", "obs-dir",
+       "budget", "dist", "verilog", "testbench", "hex-out"});
   const TruthTable exact = load_table(args);
   const unsigned n = exact.num_inputs();
   const unsigned m = exact.num_outputs();
