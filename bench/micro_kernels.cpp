@@ -709,33 +709,6 @@ int main(int argc, char** argv) {
                         "single-thread registry solve, n=9 core COP, R=8");
       }
     }
-    // Portfolio-vs-anchor QoR on fixed-seed core COPs: the racing
-    // meta-solver's committed objective against plain bSB on the same
-    // seeds, as a ratio with direction "max" so the bench_diff gate fails
-    // if the portfolio ever loses quality to its anchor. The strict-less
-    // commit rule makes the ratio >= 1.0 by construction; a regression
-    // here means the anchor guarantee broke.
-    {
-      const auto& reg = SolverRegistry::global();
-      const auto portfolio = reg.make_from_spec("portfolio,n=9");
-      const auto anchor = reg.make_from_spec("prop,n=9");
-      double anchor_sum = 0.0;
-      double race_sum = 0.0;
-      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        const auto qor_cop = make_cop(9, 4, 200 + seed);
-        CoreSolveStats anchor_stats;
-        CoreSolveStats race_stats;
-        (void)anchor->solve(qor_cop, seed, &anchor_stats);
-        (void)portfolio->solve(qor_cop, seed, &race_stats);
-        anchor_sum += anchor_stats.objective;
-        race_sum += race_stats.objective;
-      }
-      report.add_derived(
-          "portfolio_vs_prop_qor", anchor_sum / std::max(race_sum, 1e-12),
-          "max", true,
-          "objective ratio vs the bSB anchor on 6 fixed-seed n=9 core "
-          "COPs; >= 1 by the anchor guarantee");
-    }
     const std::string path = args.get_string("json", "");
     std::ofstream f(path);
     if (!f) {

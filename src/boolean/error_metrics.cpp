@@ -32,6 +32,9 @@ InputDistribution InputDistribution::from_weights(std::vector<double> weights) {
   if (total <= 0.0) {
     throw std::invalid_argument("InputDistribution: all weights are zero");
   }
+  if (!std::isfinite(total)) {
+    throw std::invalid_argument("InputDistribution: weights sum to infinity");
+  }
   InputDistribution d;
   d.uniform_ = false;
   unsigned n = 0;

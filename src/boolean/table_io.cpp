@@ -1,9 +1,13 @@
 #include "boolean/table_io.hpp"
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace adsd {
 
@@ -39,11 +43,14 @@ TruthTable read_pla(std::istream& is) {
   if (n == 0 || m == 0) {
     throw std::invalid_argument("read_pla: missing .i/.o header");
   }
-  TruthTable tt(n, m);
-  std::vector<bool> seen(tt.num_patterns(), false);
+  if (n > TruthTable::kMaxInputs || m > TruthTable::kMaxOutputs) {
+    throw std::invalid_argument("read_pla: .i/.o out of range");
+  }
+  // Rows are parsed before the table is sized, so memory follows the
+  // input: a header alone cannot make the reader allocate a 2^26-row table.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
   std::string in_bits;
   std::string out_bits;
-  std::uint64_t rows = 0;
   while (is >> in_bits) {
     if (in_bits == ".e") {
       break;
@@ -59,21 +66,27 @@ TruthTable read_pla(std::istream& is) {
         throw std::invalid_argument("read_pla: don't-cares not supported");
       }
     }
-    if (seen[x]) {
-      throw std::invalid_argument("read_pla: duplicate input pattern");
-    }
-    seen[x] = true;
-    ++rows;
+    std::uint64_t word = 0;
     for (unsigned k = 0; k < m; ++k) {
       if (out_bits[k] == '1') {
-        tt.set_bit(k, x, true);
+        word |= std::uint64_t{1} << k;
       } else if (out_bits[k] != '0') {
         throw std::invalid_argument("read_pla: bad output bit");
       }
     }
+    rows.emplace_back(x, word);
   }
-  if (rows != tt.num_patterns()) {
+  if (rows.size() != std::uint64_t{1} << n) {
     throw std::invalid_argument("read_pla: incomplete truth table");
+  }
+  TruthTable tt(n, m);
+  std::vector<bool> seen(tt.num_patterns(), false);
+  for (const auto& [x, word] : rows) {
+    if (seen[x]) {
+      throw std::invalid_argument("read_pla: duplicate input pattern");
+    }
+    seen[x] = true;
+    tt.set_word(x, word);
   }
   return tt;
 }
@@ -106,14 +119,23 @@ TruthTable read_hex(std::istream& is) {
   if (!(is >> tag >> n >> m) || tag != ".tt") {
     throw std::invalid_argument("read_hex: expected '.tt n m' header");
   }
-  TruthTable tt(n, m);
-  const std::uint64_t patterns = tt.num_patterns();
+  if (n == 0 || n > TruthTable::kMaxInputs || m == 0 ||
+      m > TruthTable::kMaxOutputs) {
+    throw std::invalid_argument("read_hex: n or m out of range");
+  }
+  // Every row is read before the table is sized, so memory follows the
+  // input: a header alone cannot make the reader allocate m 2^n-bit rows.
+  const std::uint64_t patterns = std::uint64_t{1} << n;
   const std::uint64_t nibbles = (patterns + 3) / 4;
-  for (unsigned k = 0; k < m; ++k) {
-    std::string line;
+  std::vector<std::string> lines(m);
+  for (std::string& line : lines) {
     if (!(is >> line) || line.size() != nibbles) {
       throw std::invalid_argument("read_hex: bad output row length");
     }
+  }
+  TruthTable tt(n, m);
+  for (unsigned k = 0; k < m; ++k) {
+    const std::string& line = lines[k];
     for (std::uint64_t pos = 0; pos < nibbles; ++pos) {
       const char ch = line[nibbles - 1 - pos];
       unsigned value = 0;
@@ -150,15 +172,19 @@ InputDistribution read_distribution(std::istream& is) {
   if (!(is >> tag >> n) || tag != ".dist") {
     throw std::invalid_argument("read_distribution: expected '.dist n'");
   }
-  if (n == 0 || n > 26) {
+  if (n == 0 || n > TruthTable::kMaxInputs) {
     throw std::invalid_argument("read_distribution: bad input count");
   }
+  // Weights grow as they are read, so memory follows the input: a header
+  // alone cannot make the reader allocate 2^26 doubles.
   const std::uint64_t patterns = std::uint64_t{1} << n;
-  std::vector<double> weights(patterns);
-  for (std::uint64_t x = 0; x < patterns; ++x) {
-    if (!(is >> weights[x])) {
-      throw std::invalid_argument("read_distribution: truncated weights");
-    }
+  std::vector<double> weights;
+  double w = 0.0;
+  while (weights.size() < patterns && is >> w) {
+    weights.push_back(w);
+  }
+  if (weights.size() != patterns) {
+    throw std::invalid_argument("read_distribution: truncated weights");
   }
   return InputDistribution::from_weights(std::move(weights));
 }

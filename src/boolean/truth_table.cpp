@@ -6,10 +6,10 @@ namespace adsd {
 
 TruthTable::TruthTable(unsigned num_inputs, unsigned num_outputs)
     : num_inputs_(num_inputs), num_outputs_(num_outputs) {
-  if (num_inputs == 0 || num_inputs > 26) {
+  if (num_inputs == 0 || num_inputs > kMaxInputs) {
     throw std::invalid_argument("TruthTable: inputs must be in [1, 26]");
   }
-  if (num_outputs == 0 || num_outputs > 63) {
+  if (num_outputs == 0 || num_outputs > kMaxOutputs) {
     throw std::invalid_argument("TruthTable: outputs must be in [1, 63]");
   }
   outputs_.assign(num_outputs, BitVec(num_patterns()));

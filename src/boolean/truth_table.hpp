@@ -18,6 +18,10 @@ namespace adsd {
 /// variable x_i.
 class TruthTable {
  public:
+  /// Shape limits, enforced by the constructor and the table readers.
+  static constexpr unsigned kMaxInputs = 26;
+  static constexpr unsigned kMaxOutputs = 63;
+
   /// All-zero function with n inputs and m outputs.
   TruthTable(unsigned num_inputs, unsigned num_outputs);
 

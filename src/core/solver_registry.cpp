@@ -4,7 +4,6 @@
 #include <charconv>
 #include <stdexcept>
 
-#include "core/portfolio_solver.hpp"
 #include "ising/kernels/force_kernels.hpp"
 
 namespace adsd {
@@ -40,6 +39,37 @@ double positive_double(const SolverConfig& c, const std::string& solver,
                                 c.get_string(key, "") + "')");
   }
   return value;
+}
+
+// The replica/restart counts and Theorem-3 switches every Ising entry
+// (prop and the engine family) takes.
+void apply_shared_keys(const SolverConfig& c, const std::string& solver,
+                       IsingCoreSolver::Options& options) {
+  options.replicas = positive_size(c, solver, "replicas");
+  options.restarts = positive_size(c, solver, "restarts");
+  options.use_theorem3 = c.get_bool("theorem3", true);
+  options.anti_collapse = c.get_bool("anti-collapse", true);
+  options.final_polish = c.get_bool("polish", true);
+  options.column_seed_init = c.get_bool("seed-init", true);
+}
+
+// The stop / stop-interval / stop-window / stop-epsilon keys over the
+// paper-default dynamic stop. A zero sample interval is refused always,
+// a window under 2 whenever the stop is on, so neither survives to fail
+// inside the engine's stop monitor.
+DynamicStopParams stop_keys(const SolverConfig& c, const std::string& solver,
+                            DynamicStopParams stop) {
+  stop.enabled = c.get_bool("stop", stop.enabled);
+  stop.sample_interval =
+      positive_size(c, solver, "stop-interval", stop.sample_interval);
+  stop.window = c.get_size("stop-window", stop.window);
+  if (stop.enabled && stop.window < 2) {
+    throw std::invalid_argument("solver '" + solver +
+                                "': key 'stop-window' must be >= 2 (got '" +
+                                std::to_string(stop.window) + "')");
+  }
+  stop.epsilon = c.get_double("stop-epsilon", stop.epsilon);
+  return stop;
 }
 
 std::string join(const std::vector<std::string>& items) {
@@ -234,26 +264,14 @@ const SolverRegistry& SolverRegistry::global() {
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
-             options.replicas = positive_size(c, "prop", "replicas");
-             options.restarts = positive_size(c, "prop", "restarts");
-             options.use_theorem3 = c.get_bool("theorem3", true);
-             options.anti_collapse = c.get_bool("anti-collapse", true);
-             options.final_polish = c.get_bool("polish", true);
-             options.column_seed_init = c.get_bool("seed-init", true);
+             apply_shared_keys(c, "prop", options);
              options.sb.max_iterations = positive_size(
                  c, "prop", "max-iter", options.sb.max_iterations);
              options.sb.dt = positive_double(c, "prop", "dt", options.sb.dt);
              options.sb.discrete = c.get_bool("discrete", false);
              options.sb.kernel = kernels::parse_force_kernel(
                  c.get_string("kernel", "auto"));
-             options.sb.stop.enabled =
-                 c.get_bool("stop", options.sb.stop.enabled);
-             options.sb.stop.sample_interval = c.get_size(
-                 "stop-interval", options.sb.stop.sample_interval);
-             options.sb.stop.window =
-                 c.get_size("stop-window", options.sb.stop.window);
-             options.sb.stop.epsilon =
-                 c.get_double("stop-epsilon", options.sb.stop.epsilon);
+             options.sb.stop = stop_keys(c, "prop", options.sb.stop);
              // pack=K (K > 0) swaps in the packed solver: up to K solves
              // per force pass where packing pays, standalone solves
              // elsewhere; bit-identical per instance either way.
@@ -267,30 +285,6 @@ const SolverRegistry& SolverRegistry::global() {
              return std::make_unique<IsingCoreSolver>(options);
            }});
 
-    // Shared stop-key plumbing of the engine-family entries: every engine
-    // entry takes the same stop / stop-interval / stop-window /
-    // stop-epsilon keys over paper-default dynamic-stop settings.
-    const auto apply_stop_keys = [](const SolverConfig& c,
-                                    DynamicStopParams& stop,
-                                    const DynamicStopParams& defaults) {
-      stop = defaults;
-      stop.enabled = c.get_bool("stop", stop.enabled);
-      stop.sample_interval =
-          c.get_size("stop-interval", stop.sample_interval);
-      stop.window = c.get_size("stop-window", stop.window);
-      stop.epsilon = c.get_double("stop-epsilon", stop.epsilon);
-    };
-    const auto apply_shared_keys = [](const SolverConfig& c,
-                                      const std::string& solver,
-                                      IsingCoreSolver::Options& options) {
-      options.replicas = positive_size(c, solver, "replicas");
-      options.restarts = positive_size(c, solver, "restarts");
-      options.use_theorem3 = c.get_bool("theorem3", true);
-      options.anti_collapse = c.get_bool("anti-collapse", true);
-      options.final_polish = c.get_bool("polish", true);
-      options.column_seed_init = c.get_bool("seed-init", true);
-    };
-
     r.add({"sa",
            "Metropolis simulated annealing on the Ising formulation "
            "(engine-rehosted baseline)",
@@ -298,9 +292,7 @@ const SolverRegistry& SolverRegistry::global() {
            {"n", "replicas", "restarts", "polish", "seed-init", "sweeps",
             "beta-start", "beta-end", "stop", "stop-interval", "stop-window",
             "stop-epsilon"},
-           [apply_stop_keys,
-            apply_shared_keys](const SolverConfig& c)
-               -> std::unique_ptr<CoreCopSolver> {
+           [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kSa;
@@ -315,7 +307,7 @@ const SolverRegistry& SolverRegistry::global() {
                  c.get_double("beta-start", options.sa.beta_start);
              options.sa.beta_end =
                  c.get_double("beta-end", options.sa.beta_end);
-             apply_stop_keys(c, options.sa.stop, options.sb.stop);
+             options.sa.stop = stop_keys(c, "sa", options.sb.stop);
              return std::make_unique<IsingCoreSolver>(options);
            }});
 
@@ -327,9 +319,7 @@ const SolverRegistry& SolverRegistry::global() {
             "polish", "seed-init", "max-iter", "dt", "pump-start", "pump-end",
             "noise", "c0", "kernel", "stop", "stop-interval", "stop-window",
             "stop-epsilon"},
-           [apply_stop_keys,
-            apply_shared_keys](const SolverConfig& c)
-               -> std::unique_ptr<CoreCopSolver> {
+           [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kSimcim;
@@ -347,7 +337,7 @@ const SolverRegistry& SolverRegistry::global() {
              options.simcim.c0 = c.get_double("c0", options.simcim.c0);
              options.simcim.kernel = kernels::parse_force_kernel(
                  c.get_string("kernel", "auto"));
-             apply_stop_keys(c, options.simcim.stop, options.sb.stop);
+             options.simcim.stop = stop_keys(c, "simcim", options.sb.stop);
              return std::make_unique<IsingCoreSolver>(options);
            }});
 
@@ -359,9 +349,7 @@ const SolverRegistry& SolverRegistry::global() {
             "polish", "seed-init", "max-iter", "rho", "momentum", "init-amp",
             "kernel", "stop", "stop-interval", "stop-window",
             "stop-epsilon"},
-           [apply_stop_keys,
-            apply_shared_keys](const SolverConfig& c)
-               -> std::unique_ptr<CoreCopSolver> {
+           [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
              options.engine = IsingEngineKind::kDoch;
@@ -375,78 +363,8 @@ const SolverRegistry& SolverRegistry::global() {
                  c.get_double("init-amp", options.doch.init_amp);
              options.doch.kernel = kernels::parse_force_kernel(
                  c.get_string("kernel", "auto"));
-             apply_stop_keys(c, options.doch.stop, options.sb.stop);
+             options.doch.stop = stop_keys(c, "doch", options.sb.stop);
              return std::make_unique<IsingCoreSolver>(options);
-           }});
-
-    r.add({"portfolio",
-           "Racing meta-solver: members race on the same seed, strictly "
-           "best objective wins (ties to the anchor)",
-           {},
-           {"members", "budget-ms", "mode", "min-trials", "prune-below",
-            "n", "replicas", "kernel"},
-           [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
-             PortfolioCoreSolver::Options opt;
-             opt.member_specs.clear();
-             const std::string members =
-                 c.get_string("members", "prop|simcim|doch");
-             // The registry is fully built by the time factories run, so
-             // nested lookups (member validation, shared-key forwarding)
-             // are safe here.
-             const SolverRegistry& reg = SolverRegistry::global();
-             std::size_t start = 0;
-             while (start <= members.size()) {
-               const std::size_t bar = members.find('|', start);
-               const std::string m =
-                   members.substr(start, bar == std::string::npos
-                                             ? std::string::npos
-                                             : bar - start);
-               if (!m.empty()) {
-                 const SolverRegistry::Entry* member_entry = reg.find(m);
-                 if (member_entry == nullptr) {
-                   // Route through make() for the enumerating error text.
-                   (void)reg.make(m);
-                 }
-                 // Forward the shared shape/tuning keys to every member
-                 // that takes them, so "portfolio,n=9,replicas=4" sizes
-                 // the whole roster consistently.
-                 std::string spec = m;
-                 for (const char* key : {"n", "replicas", "kernel"}) {
-                   if (c.has(key) &&
-                       std::find(member_entry->keys.begin(),
-                                 member_entry->keys.end(),
-                                 key) != member_entry->keys.end()) {
-                     spec += std::string(",") + key + "=" +
-                             c.get_string(key, "");
-                   }
-                 }
-                 opt.member_specs.push_back(std::move(spec));
-               }
-               if (bar == std::string::npos) {
-                 break;
-               }
-               start = bar + 1;
-             }
-             if (opt.member_specs.empty()) {
-               throw std::invalid_argument(
-                   "solver 'portfolio': 'members' must name at least one "
-                   "solver ('a|b|c')");
-             }
-             opt.budget_ms = c.get_double("budget-ms", 0.0);
-             const std::string mode = c.get_string("mode", "race");
-             if (mode == "race") {
-               opt.mode = PortfolioCoreSolver::Mode::kRace;
-             } else if (mode == "adapt") {
-               opt.mode = PortfolioCoreSolver::Mode::kAdapt;
-             } else {
-               throw std::invalid_argument(
-                   "solver 'portfolio': mode '" + mode +
-                   "' is not one of race, adapt");
-             }
-             opt.min_trials = c.get_size("min-trials", opt.min_trials);
-             opt.prune_below =
-                 c.get_double("prune-below", opt.prune_below);
-             return std::make_unique<PortfolioCoreSolver>(opt);
            }});
 
     r.add({"dalta",

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/error_metrics.hpp"
@@ -328,6 +329,13 @@ struct ShapeParam {
   std::size_t c;
   bool joint;
 };
+
+// CMake's gtest discovery names each case by its printed parameter
+// (".../r2c8_joint"); without a PrintTo gtest prints the struct's raw
+// bytes, uninitialized padding included, so the names would not be stable.
+void PrintTo(const ShapeParam& p, std::ostream* os) {
+  *os << 'r' << p.r << 'c' << p.c << (p.joint ? "_joint" : "_separate");
+}
 
 class CopEnergySweep : public ::testing::TestWithParam<ShapeParam> {};
 

@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "byte_mutator.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 
 namespace adsd {
 namespace {
@@ -31,68 +31,6 @@ constexpr char kInteresting[] = {
     '{',  '}',  '[', ']', '"', ':', ',', '\\', 'u',    'n',    't',
     'f',  'e',  'E', '.', '-', '+', '0', '1',  '9',    ' ',    '\n',
     '\t', '\0', 'D', '8', 'C', 'a', '\x1f', '\x7f', '\x80', '\xff'};
-
-/// Deterministic byte mutator: one to four edits per mutant, each a bit
-/// flip, an overwrite or insertion of an interesting or random byte, a
-/// range erase, a range duplication, or a truncation.
-class ByteMutator {
- public:
-  explicit ByteMutator(std::uint64_t seed) : rng_(seed) {}
-
-  std::string mutate(const std::string& seed_text) {
-    std::string s = seed_text;
-    const std::uint64_t edits = 1 + rng_.next_below(4);
-    for (std::uint64_t e = 0; e < edits; ++e) {
-      edit(s);
-    }
-    return s;
-  }
-
- private:
-  char interesting() {
-    return kInteresting[rng_.next_below(sizeof kInteresting)];
-  }
-  std::size_t pos(const std::string& s) { return rng_.next_below(s.size()); }
-
-  void edit(std::string& s) {
-    if (s.empty()) {
-      s.push_back(interesting());
-      return;
-    }
-    switch (rng_.next_below(7)) {
-      case 0:
-        s[pos(s)] ^= static_cast<char>(1u << rng_.next_below(8));
-        break;
-      case 1:
-        s[pos(s)] = interesting();
-        break;
-      case 2:
-        s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                                 rng_.next_below(s.size() + 1)),
-                 interesting());
-        break;
-      case 3: {
-        const std::size_t at = pos(s);
-        s.erase(at, 1 + rng_.next_below(8));
-        break;
-      }
-      case 4: {
-        const std::size_t at = pos(s);
-        const std::string slice = s.substr(at, 1 + rng_.next_below(16));
-        s.insert(rng_.next_below(s.size() + 1), slice);
-        break;
-      }
-      case 5:
-        s.resize(pos(s));
-        break;
-      default:
-        s[pos(s)] = static_cast<char>(rng_.next_below(256));
-        break;
-    }
-  }
-
-  Rng rng_;
-};
 
 std::vector<std::filesystem::path> seed_files() {
   std::vector<std::filesystem::path> files;
@@ -154,7 +92,8 @@ TEST(JsonMutation, EveryMutantParsesOrThrowsRuntimeError) {
   std::uint64_t file_index = 0;
   for (const auto& path : seed_files()) {
     const std::string seed_text = read_file(path);
-    ByteMutator mutator(0x6a736f6e00000000ull + file_index++);
+    ByteMutator mutator(0x6a736f6e00000000ull + file_index++,
+                        {kInteresting, sizeof kInteresting});
     for (int i = 0; i < kMutantsPerSeed; ++i) {
       const std::string mutant = mutator.mutate(seed_text);
       const std::string label =

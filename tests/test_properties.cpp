@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_decompose.hpp"
@@ -57,6 +58,12 @@ struct ShapeSeed {
   std::size_t c;
   int seed;
 };
+
+// The ctest name of each case (".../r2c8_seed1"), instead of a raw byte
+// dump of the struct that includes its uninitialized padding.
+void PrintTo(const ShapeSeed& p, std::ostream* os) {
+  *os << 'r' << p.r << 'c' << p.c << "_seed" << p.seed;
+}
 
 class TheoremEquivalence : public ::testing::TestWithParam<ShapeSeed> {};
 
@@ -255,6 +262,10 @@ struct BddSweep {
   unsigned n;
   unsigned free_size;
 };
+
+void PrintTo(const BddSweep& p, std::ostream* os) {
+  *os << 'n' << p.n << "_free" << p.free_size;
+}
 
 class BddMultiplicity : public ::testing::TestWithParam<BddSweep> {};
 

@@ -26,8 +26,8 @@ ColumnCop random_cop(std::uint64_t seed, std::size_t r = 5,
 TEST(SolverRegistry, AllCanonicalNamesBuild) {
   const SolverRegistry& r = SolverRegistry::global();
   for (const char* name :
-       {"prop", "sa", "simcim", "doch", "portfolio", "dalta", "dalta-lit",
-        "ilp", "ba", "alt", "exhaustive"}) {
+       {"prop", "sa", "simcim", "doch", "dalta", "dalta-lit", "ilp", "ba",
+        "alt", "exhaustive"}) {
     const auto solver = r.make(name);
     ASSERT_NE(solver, nullptr) << name;
   }
@@ -82,28 +82,21 @@ TEST(SolverRegistry, UnknownKeyThrowsStrictly) {
 
 // Fixture for the enriched unknown-name diagnostic: every canonical name
 // appears in sorted order, followed by an "aliases:" section listing the
-// class-name spellings, so a typo'd spec is self-correcting.
+// class-name spellings, so a typo'd spec is self-correcting. The removed
+// racing meta-solver's name is just another unknown name.
 TEST(SolverRegistry, UnknownNameErrorEnumeratesTheFullRoster) {
-  try {
-    (void)SolverRegistry::global().make("nope");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown solver 'nope'"), std::string::npos) << msg;
-    std::size_t last = 0;
-    for (const char* name :
-         {"alt", "ba", "dalta", "dalta-lit", "doch", "exhaustive", "ilp",
-          "portfolio", "prop", "sa", "simcim"}) {
-      const std::size_t pos = msg.find(name, last);
-      EXPECT_NE(pos, std::string::npos) << name << " missing in: " << msg;
-      last = pos;
-    }
-    const std::size_t aliases = msg.find("aliases:");
-    ASSERT_NE(aliases, std::string::npos) << msg;
-    for (const char* alias :
-         {"ising-bsb", "ising-doch", "ising-sa", "ising-simcim"}) {
-      EXPECT_NE(msg.find(alias, aliases), std::string::npos)
-          << alias << " missing in: " << msg;
+  for (const std::string unknown : {"nope", "portfolio"}) {
+    try {
+      (void)SolverRegistry::global().make_from_spec(unknown);
+      FAIL() << "expected invalid_argument for " << unknown;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      const std::string head = "unknown solver '" + unknown + "' (known: ";
+      ASSERT_EQ(msg.rfind(head, 0), 0u) << msg;
+      EXPECT_EQ(msg.substr(head.size()),
+                "alt, ba, dalta, dalta-lit, doch, exhaustive, ilp, prop, sa, "
+                "simcim; aliases: alternating, ba-anneal, dalta-greedy, "
+                "ilp-bnb, ising-bsb, ising-doch, ising-sa, ising-simcim)");
     }
   }
 }
@@ -172,8 +165,8 @@ TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
       }
     }
   }
-  // Iteration caps, sweep counts and the dt step fail the same way at spec
-  // parse, not later as an anonymous engine "bad parameters".
+  // Iteration caps, sweep counts, the dt step and the stop keys fail the
+  // same way at spec parse, not later as an anonymous engine error.
   const struct {
     const char* spec;
     const char* solver;
@@ -188,6 +181,20 @@ TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
       {"simcim,dt=-0.5", "simcim", "dt", "> 0 (got '-0.5')"},
       {"doch,max-iter=0", "doch", "max-iter", ">= 1 (got '0')"},
       {"prop,pack=4,max-iter=0", "prop", "max-iter", ">= 1 (got '0')"},
+      // The stop keys: a zero sample interval always, a window under 2
+      // whenever the dynamic stop is on (it is by default).
+      {"prop,stop-interval=0", "prop", "stop-interval", ">= 1 (got '0')"},
+      {"prop,stop=0,stop-interval=0", "prop", "stop-interval",
+       ">= 1 (got '0')"},
+      {"prop,stop-window=1", "prop", "stop-window", ">= 2 (got '1')"},
+      {"prop,pack=4,stop-window=0", "prop", "stop-window", ">= 2 (got '0')"},
+      {"simcim,stop-interval=0", "simcim", "stop-interval",
+       ">= 1 (got '0')"},
+      {"simcim,stop=1,stop-window=1", "simcim", "stop-window",
+       ">= 2 (got '1')"},
+      {"sa,stop-interval=0", "sa", "stop-interval", ">= 1 (got '0')"},
+      {"sa,stop-window=1", "sa", "stop-window", ">= 2 (got '1')"},
+      {"doch,stop-window=1", "doch", "stop-window", ">= 2 (got '1')"},
   };
   for (const auto& limit : limits) {
     try {
@@ -208,6 +215,11 @@ TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
   // One still builds.
   EXPECT_NO_THROW(
       (void)SolverRegistry::global().make_from_spec("simcim,replicas=1"));
+  // With the stop off the window is unused, so any value builds.
+  EXPECT_NO_THROW((void)SolverRegistry::global().make_from_spec(
+      "prop,stop=0,stop-window=1"));
+  EXPECT_NO_THROW((void)SolverRegistry::global().make_from_spec(
+      "sa,stop=0,stop-window=0"));
 }
 
 TEST(SolverRegistry, SpecParsing) {

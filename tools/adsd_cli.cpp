@@ -394,8 +394,10 @@ int cmd_decompose(const CliArgs& args) {
                      "bits saved"});
     for (std::size_t k = 0; k < fin.outputs.size(); ++k) {
       const auto& out = fin.outputs[k];
+      std::string label = "y";
+      label += std::to_string(k);
       qor_table.add_row(
-          {"y" + std::to_string(k), Table::num(out.error_rate, 6),
+          {label, Table::num(out.error_rate, 6),
            std::to_string(out.lut_bits), std::to_string(out.flat_bits),
            std::to_string(static_cast<std::int64_t>(out.flat_bits) -
                           static_cast<std::int64_t>(out.lut_bits))});
