@@ -5,7 +5,7 @@
 // ablated separately to isolate the in-search feedback effect.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
-// adsd_cli (see tools/trace_summary).
+// adsd_cli (see tools/adsd_obs).
 
 #include <iostream>
 
@@ -15,6 +15,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(
+      args, "ablation_heuristic",
+      {"n", "free", "instances", "replicas"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));

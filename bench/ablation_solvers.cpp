@@ -6,7 +6,7 @@
 // Ising *formulation* from the bSB *search*.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
-// adsd_cli (see tools/trace_summary).
+// adsd_cli (see tools/adsd_obs).
 
 #include <iostream>
 
@@ -16,6 +16,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(
+      args, "ablation_solvers",
+      {"n", "free", "instances", "replicas", "ilp-budget"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));

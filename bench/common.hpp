@@ -126,11 +126,21 @@ inline RunContext::Options context_options(const CliArgs& args) {
   return opts;
 }
 
-/// The flags the bench harness custom mains consume themselves. They must
-/// be stripped from argv before benchmark::Initialize sees it
-/// (google-benchmark rejects unknown options); unit-tested directly in
-/// tests/test_bench_common.cpp so a newly added flag can't silently break
-/// the stripping.
+/// The flags every harness shares: --seed and --threads, the recorder
+/// switches context_options and write_run_artifacts read, and --json for
+/// the schema-v2 report.
+inline const std::vector<std::string>& harness_flags() {
+  static const std::vector<std::string> flags = {
+      "trace", "report",  "threads",   "seed",     "qor",
+      "json",  "metrics", "log-level", "log-file", "obs-dir"};
+  return flags;
+}
+
+/// True for a harness flag token ("--seed" or "--seed=7"). The custom
+/// mains consume these themselves, so they must be stripped from argv
+/// before benchmark::Initialize sees it (google-benchmark rejects unknown
+/// options); unit-tested directly in tests/test_bench_common.cpp so a
+/// newly added flag can't silently break the stripping.
 inline bool is_harness_flag(std::string_view token) {
   if (token.rfind("--", 0) != 0) {
     return false;
@@ -139,10 +149,24 @@ inline bool is_harness_flag(std::string_view token) {
       token.substr(2, token.find('=') == std::string_view::npos
                           ? std::string_view::npos
                           : token.find('=') - 2);
-  return name == "trace" || name == "report" || name == "threads" ||
-         name == "seed" || name == "qor" || name == "json" ||
-         name == "metrics" || name == "metrics-format" ||
-         name == "log-level" || name == "log-file" || name == "obs-dir";
+  const auto& flags = harness_flags();
+  return std::find(flags.begin(), flags.end(), name) != flags.end();
+}
+
+/// Exits with status 2 and a message naming the option when argv holds
+/// one that is neither a shared harness flag nor one of the harness's
+/// `own` keys, so a misspelled or removed flag fails instead of running
+/// the default suite.
+inline void reject_unknown_flags(const CliArgs& args,
+                                 const std::string& harness,
+                                 std::vector<std::string> own) {
+  own.insert(own.end(), harness_flags().begin(), harness_flags().end());
+  try {
+    args.reject_unknown(harness, own);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 /// Removes the harness flags (both "--flag=value" and detached
@@ -274,14 +298,13 @@ class BenchReport {
 
 /// Writes the artifacts requested via --trace / --report / --qor /
 /// --metrics to the given files, in exactly the formats adsd_cli emits
-/// (Chrome trace_event timeline, run report, qor.json, Prometheus text or
-/// adsd-metrics-v1 JSON per --metrics-format) — tools/trace_summary reads
-/// and validates the first two, tools/bench_diff compares qor.json files,
-/// tools/metrics_summary validates the metrics exposition. With --obs-dir,
-/// the full bundle (trace.json, report.json, qor.json, metrics.prom,
-/// metrics.json, flight.json — next to the logger's log.jsonl) lands under
-/// <obs-dir>/<run_id>/ regardless of the per-artifact flags, each artifact
-/// stamped with the same run_id.
+/// (Chrome trace_event timeline, run report, qor.json, Prometheus text) —
+/// tools/adsd_obs reads and validates each of them, tools/bench_diff
+/// compares qor.json files. With --obs-dir, the full bundle (trace.json,
+/// report.json, qor.json, metrics.prom, flight.json — next to the
+/// logger's log.jsonl, six artifacts) lands under <obs-dir>/<run_id>/
+/// regardless of the per-artifact flags, each artifact stamped with the
+/// same run_id.
 inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
   auto open = [&](const char* flag) {
     const std::string path = args.get_string(flag, "");
@@ -306,17 +329,9 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
     ctx.qor()->write_json(f);
   }
   if (args.has("metrics")) {
-    const std::string fmt = args.get_string("metrics-format", "prom");
-    if (fmt != "prom" && fmt != "json") {
-      throw std::invalid_argument("--metrics-format must be prom or json");
-    }
     ctx.flush_drop_metrics();
     auto f = open("metrics");
-    if (fmt == "json") {
-      MetricsRegistry::global().write_json(f);
-    } else {
-      MetricsRegistry::global().write_prometheus(f);
-    }
+    MetricsRegistry::global().write_prometheus(f);
   }
 
   const std::string bundle = obs_bundle_dir(args, ctx);
@@ -354,10 +369,6 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
   {
     auto f = open_in("metrics.prom");
     MetricsRegistry::global().write_prometheus(f);
-  }
-  {
-    auto f = open_in("metrics.json");
-    MetricsRegistry::global().write_json(f);
   }
   {
     auto f = open_in("flight.json");

@@ -12,6 +12,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(
+      args, "fig1_lut_cost",
+      {"n", "free", "p", "rounds"});
 
   std::cout << "== Figure 1: LUT size reduction from disjoint decomposition "
                "==\n\n";

@@ -10,7 +10,7 @@
 // paper scale.
 //
 // Observability: --trace/--report/--qor <file> write the same JSON
-// artifacts as adsd_cli (see tools/trace_summary); --json <file>
+// artifacts as adsd_cli (see tools/adsd_obs); --json <file>
 // writes per-benchmark MED/time records as a schema-v2 bench report for
 // tools/bench_diff; --threads sets the worker-pool width; --pack <K>
 // additionally runs the proposed solver with multi-instance packing
@@ -25,6 +25,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(
+      args, "fig4_large",
+      {"n", "free", "p", "rounds", "baseline", "replicas", "pack", "csv"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 16));
   DaltaParams params;

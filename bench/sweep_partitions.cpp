@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(args, "sweep_partitions", {"n"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const std::uint64_t seed = args.get_size("seed", 42);

@@ -5,7 +5,7 @@
 // instances.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
-// adsd_cli (see tools/trace_summary).
+// adsd_cli (see tools/adsd_obs).
 
 #include <iostream>
 
@@ -15,6 +15,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(
+      args, "sweep_scaling",
+      {"instances", "ilp-budget"});
 
   const std::size_t instances = args.get_size("instances", 6);
   const std::uint64_t seed = args.get_size("seed", 42);

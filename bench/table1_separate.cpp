@@ -12,6 +12,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  bench::reject_unknown_flags(
+      args, "table1_separate",
+      {"n", "m", "free", "p", "rounds", "ilp-budget"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned m = static_cast<unsigned>(args.get_size("m", n));

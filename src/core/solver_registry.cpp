@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "ising/kernels/force_kernels.hpp"
@@ -16,6 +18,21 @@ namespace {
                               "' is not a valid " + want);
 }
 
+[[noreturn]] void out_of_limit(const std::string& solver,
+                               const std::string& key, const std::string& want,
+                               const std::string& got) {
+  throw std::invalid_argument("solver '" + solver + "': key '" + key +
+                              "' must be " + want + " (got '" + got + "')");
+}
+
+// The value as given in the spec, or the fallback it defaulted to.
+std::string shown(const SolverConfig& c, const std::string& key,
+                  double value) {
+  std::ostringstream out;
+  out << value;
+  return c.get_string(key, out.str());
+}
+
 // A count key that must be at least 1 (replicas, restarts, max-iter,
 // sweeps): 0 is refused at spec parse, naming the solver and key, instead
 // of being clamped or failing later inside the engine.
@@ -23,22 +40,41 @@ std::size_t positive_size(const SolverConfig& c, const std::string& solver,
                           const std::string& key, std::size_t fallback = 1) {
   const std::size_t value = c.get_size(key, fallback);
   if (value == 0) {
-    throw std::invalid_argument("solver '" + solver + "': key '" + key +
-                                "' must be >= 1 (got '0')");
+    out_of_limit(solver, key, ">= 1", "0");
   }
   return value;
 }
 
-// A real key that must be strictly positive (the dt step).
+// A real key that must be strictly positive (dt, beta-start).
 double positive_double(const SolverConfig& c, const std::string& solver,
                        const std::string& key, double fallback) {
   const double value = c.get_double(key, fallback);
   if (!(value > 0.0)) {
-    throw std::invalid_argument("solver '" + solver + "': key '" + key +
-                                "' must be > 0 (got '" +
-                                c.get_string(key, "") + "')");
+    out_of_limit(solver, key, "> 0", shown(c, key, value));
   }
   return value;
+}
+
+// A real key that must be non-negative (DOCH momentum and init-amp).
+double non_negative_double(const SolverConfig& c, const std::string& solver,
+                           const std::string& key, double fallback) {
+  const double value = c.get_double(key, fallback);
+  if (!(value >= 0.0)) {
+    out_of_limit(solver, key, ">= 0", shown(c, key, value));
+  }
+  return value;
+}
+
+// The annealing schedule (sa, ba): beta-start > 0 and beta-end >=
+// beta-start, so the geometric cooling ratio is finite and never heats.
+void beta_keys(const SolverConfig& c, const std::string& solver,
+               double& beta_start, double& beta_end) {
+  beta_start = positive_double(c, solver, "beta-start", beta_start);
+  beta_end = c.get_double("beta-end", beta_end);
+  if (!(beta_end >= beta_start)) {
+    out_of_limit(solver, "beta-end", ">= beta-start",
+                 shown(c, "beta-end", beta_end));
+  }
 }
 
 // The replica/restart counts and Theorem-3 switches every Ising entry
@@ -64,9 +100,7 @@ DynamicStopParams stop_keys(const SolverConfig& c, const std::string& solver,
       positive_size(c, solver, "stop-interval", stop.sample_interval);
   stop.window = c.get_size("stop-window", stop.window);
   if (stop.enabled && stop.window < 2) {
-    throw std::invalid_argument("solver '" + solver +
-                                "': key 'stop-window' must be >= 2 (got '" +
-                                std::to_string(stop.window) + "')");
+    out_of_limit(solver, "stop-window", ">= 2", std::to_string(stop.window));
   }
   stop.epsilon = c.get_double("stop-epsilon", stop.epsilon);
   return stop;
@@ -303,10 +337,7 @@ const SolverRegistry& SolverRegistry::global() {
              options.anti_collapse = false;
              options.sa.sweeps =
                  positive_size(c, "sa", "sweeps", options.sa.sweeps);
-             options.sa.beta_start =
-                 c.get_double("beta-start", options.sa.beta_start);
-             options.sa.beta_end =
-                 c.get_double("beta-end", options.sa.beta_end);
+             beta_keys(c, "sa", options.sa.beta_start, options.sa.beta_end);
              options.sa.stop = stop_keys(c, "sa", options.sb.stop);
              return std::make_unique<IsingCoreSolver>(options);
            }});
@@ -357,10 +388,10 @@ const SolverRegistry& SolverRegistry::global() {
              options.doch.max_iterations = positive_size(
                  c, "doch", "max-iter", options.doch.max_iterations);
              options.doch.rho = c.get_double("rho", options.doch.rho);
-             options.doch.momentum =
-                 c.get_double("momentum", options.doch.momentum);
-             options.doch.init_amp =
-                 c.get_double("init-amp", options.doch.init_amp);
+             options.doch.momentum = non_negative_double(
+                 c, "doch", "momentum", options.doch.momentum);
+             options.doch.init_amp = non_negative_double(
+                 c, "doch", "init-amp", options.doch.init_amp);
              options.doch.kernel = kernels::parse_force_kernel(
                  c.get_string("kernel", "auto"));
              options.doch.stop = stop_keys(c, "doch", options.sb.stop);
@@ -391,8 +422,12 @@ const SolverRegistry& SolverRegistry::global() {
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              BnbCoreSolver::Options opt;
              opt.time_budget_s = c.get_double("budget", opt.time_budget_s);
-             opt.warm_restarts =
-                 c.get_size("warm-restarts", opt.warm_restarts);
+             if (std::isnan(opt.time_budget_s)) {
+               out_of_limit("ilp", "budget", "a number",
+                            c.get_string("budget", ""));
+             }
+             opt.warm_restarts = positive_size(c, "ilp", "warm-restarts",
+                                               opt.warm_restarts);
              return std::make_unique<BnbCoreSolver>(opt);
            }});
 
@@ -402,10 +437,9 @@ const SolverRegistry& SolverRegistry::global() {
            {"sweeps", "beta-start", "beta-end", "restarts"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              AnnealCoreSolver::Options opt;
-             opt.sweeps = c.get_size("sweeps", opt.sweeps);
-             opt.beta_start = c.get_double("beta-start", opt.beta_start);
-             opt.beta_end = c.get_double("beta-end", opt.beta_end);
-             opt.restarts = c.get_size("restarts", opt.restarts);
+             opt.sweeps = positive_size(c, "ba", "sweeps", opt.sweeps);
+             beta_keys(c, "ba", opt.beta_start, opt.beta_end);
+             opt.restarts = positive_size(c, "ba", "restarts", opt.restarts);
              return std::make_unique<AnnealCoreSolver>(opt);
            }});
 
@@ -415,7 +449,8 @@ const SolverRegistry& SolverRegistry::global() {
            {"restarts", "sweeps"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              return std::make_unique<AlternatingCoreSolver>(
-                 c.get_size("restarts", 8), c.get_size("sweeps", 64));
+                 positive_size(c, "alt", "restarts", 8),
+                 positive_size(c, "alt", "sweeps", 64));
            }});
 
     r.add({"exhaustive",

@@ -515,79 +515,6 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
       << "adsd_metrics_dropped_total " << dropped() << '\n';
 }
 
-void MetricsRegistry::write_json(std::ostream& out) const {
-  using json::Value;
-  std::vector<Value> series;
-  for (const Metric* m : sorted_metrics()) {
-    std::map<std::string, Value> rec;
-    rec.emplace("name", Value::make_string(m->name));
-    rec.emplace("kind", Value::make_string(kind_name(m->kind)));
-    std::map<std::string, Value> labels;
-    for (const auto& [k, v] : m->labels) {
-      labels.emplace(k, Value::make_string(v));
-    }
-    rec.emplace("labels", Value::make_object(std::move(labels)));
-    switch (m->kind) {
-      case Kind::kCounter:
-        rec.emplace("value", Value::make_number(
-                                 static_cast<double>(m->counter.value())));
-        break;
-      case Kind::kGauge:
-        rec.emplace("value", Value::make_number(m->gauge.value()));
-        break;
-      case Kind::kHistogram: {
-        const HistogramData data = m->histogram->snapshot();
-        rec.emplace("count", Value::make_number(
-                                 static_cast<double>(data.count)));
-        rec.emplace("sum", Value::make_number(data.sum));
-        rec.emplace("min",
-                    Value::make_number(data.count > 0 ? data.min : 0.0));
-        rec.emplace("max",
-                    Value::make_number(data.count > 0 ? data.max : 0.0));
-        rec.emplace("underflow", Value::make_number(
-                                     static_cast<double>(data.underflow)));
-        rec.emplace("overflow", Value::make_number(
-                                    static_cast<double>(data.overflow)));
-        rec.emplace("p50", Value::make_number(data.quantile(0.50)));
-        rec.emplace("p95", Value::make_number(data.quantile(0.95)));
-        rec.emplace("p99", Value::make_number(data.quantile(0.99)));
-        std::vector<Value> buckets;
-        for (std::size_t i = 0; i < data.buckets.size(); ++i) {
-          if (data.buckets[i] == 0) {
-            continue;
-          }
-          std::vector<Value> triple;
-          triple.push_back(
-              Value::make_number(Histogram::bucket_lower(i)));
-          triple.push_back(
-              Value::make_number(Histogram::bucket_upper(i)));
-          triple.push_back(Value::make_number(
-              static_cast<double>(data.buckets[i])));
-          buckets.push_back(Value::make_array(std::move(triple)));
-        }
-        rec.emplace("buckets", Value::make_array(std::move(buckets)));
-        double exemplar_value = 0.0;
-        std::string exemplar_run_id;
-        if (m->histogram->exemplar(&exemplar_value, &exemplar_run_id)) {
-          std::map<std::string, Value> exemplar;
-          exemplar.emplace("run_id", Value::make_string(exemplar_run_id));
-          exemplar.emplace("value", Value::make_number(exemplar_value));
-          rec.emplace("exemplar", Value::make_object(std::move(exemplar)));
-        }
-        break;
-      }
-    }
-    series.push_back(Value::make_object(std::move(rec)));
-  }
-  std::map<std::string, Value> root;
-  root.emplace("schema", Value::make_string("adsd-metrics-v1"));
-  root.emplace("dropped",
-               Value::make_number(static_cast<double>(dropped())));
-  root.emplace("metrics", Value::make_array(std::move(series)));
-  json::write(out, Value::make_object(std::move(root)));
-  out << '\n';
-}
-
 // ---------------------------------------------------------------------------
 // FlightRecorder
 

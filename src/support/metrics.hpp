@@ -50,8 +50,7 @@ struct HistogramData {
 /// histograms with labeled families — the third observability axis next to
 /// TraceRecorder (per-run timelines) and QorRecorder (per-run quality):
 /// cheap aggregates that accumulate across every solve in the process and
-/// export as Prometheus text (v0.0.4) or an `adsd-metrics-v1` JSON
-/// snapshot.
+/// export as Prometheus text (v0.0.4).
 ///
 /// Off path: sites reach the registry through RunContext::metrics() (a
 /// cached pointer, nullptr when the context was built without metrics) or
@@ -188,12 +187,6 @@ class MetricsRegistry {
   /// _bucket{le=...} (non-empty buckets plus the mandatory +Inf), _sum and
   /// _count. Families and series are sorted, output is stable.
   void write_prometheus(std::ostream& out) const;
-
-  /// Schema-versioned JSON snapshot ("adsd-metrics-v1"): sorted series
-  /// array with per-kind payloads; histograms carry count/sum/min/max,
-  /// underflow/overflow, p50/p95/p99, and the non-empty [lower, upper,
-  /// count] buckets.
-  void write_json(std::ostream& out) const;
 
   /// The process-wide registry every instrumentation site aggregates into.
   static MetricsRegistry& global();

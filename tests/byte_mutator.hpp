@@ -1,7 +1,8 @@
 // Deterministic byte mutator for the parser mutation tests
-// (test_json_mutation, test_table_io_mutation): derives mutants of a seed
-// text on the repo's xoshiro Rng, so every run explores the same inputs
-// and a failing mutant is reproducible from its index.
+// (test_json_mutation, test_table_io_mutation, and the spec mutants in
+// test_solver_registry): derives mutants of a seed text on the repo's
+// xoshiro Rng, so every run explores the same inputs and a failing mutant
+// is reproducible from its index.
 
 #pragma once
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,8 +36,7 @@ std::vector<std::string> strip(std::vector<std::string> tokens) {
 TEST(HarnessFlags, RecognizesAllHarnessFlags) {
   for (const char* flag :
        {"--trace", "--report", "--threads", "--seed", "--qor", "--json",
-        "--metrics", "--metrics-format", "--log-level", "--log-file",
-        "--obs-dir"}) {
+        "--metrics", "--log-level", "--log-file", "--obs-dir"}) {
     EXPECT_TRUE(bench::is_harness_flag(flag)) << flag;
     EXPECT_TRUE(bench::is_harness_flag(std::string(flag) + "=x")) << flag;
   }
@@ -70,6 +70,16 @@ TEST(HarnessFlags, PassesThroughUnknownTokens) {
   EXPECT_EQ(strip({"prog", "input.txt", "--unknown", "value"}),
             (std::vector<std::string>{"prog", "input.txt", "--unknown",
                                       "value"}));
+}
+
+TEST(HarnessFlags, RejectUnknownFlagsAcceptsSharedAndOwnKeys) {
+  // Returns (does not exit) when every option is a shared flag or one of
+  // the harness's own keys; bench_unknown_flag covers the exit.
+  const char* argv[] = {"prog", "--n", "6", "--seed=7", "--obs-dir", "o",
+                        "--json", "j.json"};
+  const CliArgs args(static_cast<int>(std::size(argv)), argv);
+  bench::reject_unknown_flags(args, "prog", {"n"});
+  SUCCEED();
 }
 
 TEST(BenchReport, WritesSchemaV2WithHostAndRecords) {

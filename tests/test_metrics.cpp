@@ -284,48 +284,6 @@ TEST(MetricsExposition, PrometheusEscapesLabelValues) {
   EXPECT_NE(out.str().find("path=\"a\\\"b\\\\c\\nd\""), std::string::npos);
 }
 
-TEST(MetricsExposition, JsonSnapshotRoundTripsThroughParser) {
-  MetricsRegistry reg;
-  reg.counter("runs_total", {{"engine", "sb"}}).add(3);
-  reg.gauge("depth").set(1.5);
-  for (int i = 1; i <= 100; ++i) {
-    reg.histogram("lat_us").record(static_cast<double>(i));
-  }
-  std::ostringstream out;
-  reg.write_json(out);
-  const json::Value doc = json::parse(out.str());
-  EXPECT_EQ(doc.at("schema").as_string(), "adsd-metrics-v1");
-  EXPECT_EQ(doc.at("dropped").as_number(), 0.0);
-  const auto& metrics = doc.at("metrics").as_array();
-  ASSERT_EQ(metrics.size(), 3u);
-  bool saw_hist = false;
-  for (const json::Value& m : metrics) {
-    if (m.at("kind").as_string() != "histogram") {
-      continue;
-    }
-    saw_hist = true;
-    EXPECT_EQ(m.at("count").as_number(), 100.0);
-    EXPECT_DOUBLE_EQ(m.at("sum").as_number(), 5050.0);
-    EXPECT_DOUBLE_EQ(m.at("min").as_number(), 1.0);
-    EXPECT_DOUBLE_EQ(m.at("max").as_number(), 100.0);
-    const double p50 = m.at("p50").as_number();
-    const double p95 = m.at("p95").as_number();
-    const double p99 = m.at("p99").as_number();
-    EXPECT_LE(p50, p95);
-    EXPECT_LE(p95, p99);
-    EXPECT_GE(p50, 50.0);
-    EXPECT_LE(p50, 50.0 * 1.125 + 1e-9);
-    double bucketed = 0.0;
-    for (const json::Value& b : m.at("buckets").as_array()) {
-      ASSERT_EQ(b.as_array().size(), 3u);
-      EXPECT_LT(b.as_array()[0].as_number(), b.as_array()[1].as_number());
-      bucketed += b.as_array()[2].as_number();
-    }
-    EXPECT_EQ(bucketed, 100.0);
-  }
-  EXPECT_TRUE(saw_hist);
-}
-
 // ---------------------------------------------------------------------------
 // Drop re-export through RunContext (trace saturation visible in the
 // Prometheus exposition, not just per-run JSON).

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "boolean/boolean_matrix.hpp"
+#include "byte_mutator.hpp"
 #include "core/column_cop.hpp"
 #include "core/solver_registry.hpp"
 #include "support/rng.hpp"
@@ -195,6 +198,27 @@ TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
       {"sa,stop-interval=0", "sa", "stop-interval", ">= 1 (got '0')"},
       {"sa,stop-window=1", "sa", "stop-window", ">= 2 (got '1')"},
       {"doch,stop-window=1", "doch", "stop-window", ">= 2 (got '1')"},
+      // Annealing schedules: beta-start > 0, and beta-end >= beta-start
+      // (a given value or the default it fell back to).
+      {"ba,beta-start=0", "ba", "beta-start", "> 0 (got '0')"},
+      {"ba,beta-start=-1", "ba", "beta-start", "> 0 (got '-1')"},
+      {"ba,beta-start=nan", "ba", "beta-start", "> 0 (got 'nan')"},
+      {"ba,beta-end=0.1", "ba", "beta-end", ">= beta-start (got '0.1')"},
+      {"ba,beta-start=500", "ba", "beta-end", ">= beta-start (got '200')"},
+      {"sa,beta-start=0", "sa", "beta-start", "> 0 (got '0')"},
+      {"sa,beta-start=2,beta-end=1", "sa", "beta-end",
+       ">= beta-start (got '1')"},
+      // Counts of the non-Ising solvers.
+      {"ba,restarts=0", "ba", "restarts", ">= 1 (got '0')"},
+      {"ba,sweeps=0", "ba", "sweeps", ">= 1 (got '0')"},
+      {"alt,restarts=0", "alt", "restarts", ">= 1 (got '0')"},
+      {"alt,sweeps=0", "alt", "sweeps", ">= 1 (got '0')"},
+      {"ilp,warm-restarts=0", "ilp", "warm-restarts", ">= 1 (got '0')"},
+      {"ilp,budget=nan", "ilp", "budget", "a number (got 'nan')"},
+      // DOCH's engine refuses these too, but only at solve time and
+      // without naming the key.
+      {"doch,momentum=-1", "doch", "momentum", ">= 0 (got '-1')"},
+      {"doch,init-amp=-0.5", "doch", "init-amp", ">= 0 (got '-0.5')"},
   };
   for (const auto& limit : limits) {
     try {
@@ -220,6 +244,14 @@ TEST(SolverRegistry, ZeroCountsThrowInsteadOfClamping) {
       "prop,stop=0,stop-window=1"));
   EXPECT_NO_THROW((void)SolverRegistry::global().make_from_spec(
       "sa,stop=0,stop-window=0"));
+  // The boundary values themselves build: an isothermal schedule, no
+  // momentum, and the one-shot greedy (dalta sweeps=0 is dalta-lit).
+  for (const char* spec :
+       {"ba,beta-start=1,beta-end=1", "sa,beta-start=3,beta-end=3",
+        "doch,momentum=0,init-amp=0", "dalta,sweeps=0", "ilp,budget=0"}) {
+    EXPECT_NO_THROW((void)SolverRegistry::global().make_from_spec(spec))
+        << spec;
+  }
 }
 
 TEST(SolverRegistry, SpecParsing) {
@@ -280,6 +312,86 @@ TEST(SolverRegistry, DuplicateRegistrationThrows) {
                               return SolverRegistry::global().make("dalta");
                             }};
   EXPECT_THROW(local.add(dup), std::invalid_argument);
+}
+
+// ------------------------------------------------------ spec mutation
+
+/// A valid spec for every registered solver, each setting every key the
+/// entry declares (prop twice: plain and packed).
+const std::vector<std::string>& seed_specs() {
+  static const std::vector<std::string> specs = {
+      "prop,n=9,replicas=2,restarts=1,theorem3=1,anti-collapse=0,polish=1,"
+      "seed-init=1,max-iter=200,dt=0.5,discrete=0,kernel=auto,stop=1,"
+      "stop-interval=10,stop-window=10,stop-epsilon=1e-8",
+      "ising-bsb,pack=4,replicas=1,max-iter=100,kernel=scalar",
+      "sa,n=9,replicas=2,restarts=1,polish=1,seed-init=0,sweeps=50,"
+      "beta-start=0.1,beta-end=10,stop=0,stop-interval=5,stop-window=4,"
+      "stop-epsilon=1e-6",
+      "simcim,n=9,replicas=2,restarts=1,theorem3=0,anti-collapse=1,polish=1,"
+      "seed-init=1,max-iter=300,dt=0.25,pump-start=-1,pump-end=1,"
+      "noise=0.05,c0=0.2,kernel=auto,stop=1,stop-interval=8,stop-window=8,"
+      "stop-epsilon=1e-7",
+      "doch,n=9,replicas=1,restarts=2,theorem3=1,anti-collapse=1,polish=0,"
+      "seed-init=1,max-iter=300,rho=0.5,momentum=0.9,init-amp=0.1,"
+      "kernel=auto,stop=1,stop-interval=10,stop-window=6,stop-epsilon=1e-8",
+      "dalta,sweeps=4",
+      "dalta-lit",
+      "ilp,budget=0.25,warm-restarts=8",
+      "ba,sweeps=300,beta-start=0.5,beta-end=200,restarts=2",
+      "alt,restarts=8,sweeps=64",
+      "exhaustive",
+  };
+  return specs;
+}
+
+TEST(SolverRegistryMutation, SeedsCoverEveryEntryAndBuild) {
+  for (const SolverRegistry::Entry& entry :
+       SolverRegistry::global().entries()) {
+    bool covered = false;
+    for (const std::string& spec : seed_specs()) {
+      const std::string name = spec.substr(0, spec.find(','));
+      covered = covered || entry.accepts(name);
+    }
+    EXPECT_TRUE(covered) << "no seed spec for solver '" << entry.name << "'";
+  }
+  for (const std::string& spec : seed_specs()) {
+    EXPECT_NO_THROW((void)SolverRegistry::global().make_from_spec(spec))
+        << spec;
+  }
+}
+
+/// The spec contract under byte mutation: every mutant either builds a
+/// solver through make_from_spec or throws std::invalid_argument — no
+/// crash and no other exception type. Mutants are fixed per seed, so a
+/// failure is reproducible from the printed text.
+TEST(SolverRegistryMutation, SpecMutantsBuildOrThrowInvalidArgument) {
+  // Separators, digits, signs, exponent and special-value letters, and a
+  // few bytes outside printable ASCII.
+  constexpr char kInteresting[] = {',', '=', '0', '1', '9', '-', '+', '.',
+                                   'e', 'E', 'n', 'a', 'i', 'f', 'x', ' ',
+                                   '\0', '\t', '\x7f', '\xff'};
+  std::size_t built = 0;
+  std::size_t rejected = 0;
+  std::uint64_t seed = 0x7370656300000000ull;
+  for (const std::string& spec : seed_specs()) {
+    ByteMutator mutator(++seed,
+                        std::string_view(kInteresting, sizeof(kInteresting)));
+    for (int i = 0; i < 1500; ++i) {
+      const std::string mutant = mutator.mutate(spec);
+      try {
+        ASSERT_NE(SolverRegistry::global().make_from_spec(mutant), nullptr)
+            << mutant;
+        ++built;
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        FAIL() << "mutant '" << mutant << "' of '" << spec
+               << "' threw a non-invalid_argument: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(built, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

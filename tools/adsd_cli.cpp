@@ -50,11 +50,9 @@
 //                           counter store -- and write its snapshot after
 //                           the run: solve-latency histograms, per-solve
 //                           (core_*), per-engine and per-kernel counters,
-//                           recorder drop counters (validate or
-//                           pretty-print with tools/metrics_summary)
-//         --metrics-format prom|json  exposition format for --metrics:
-//                           Prometheus text v0.0.4 (default) or the
-//                           adsd-metrics-v1 JSON snapshot
+//                           recorder drop counters, as Prometheus
+//                           text v0.0.4 (validate or pretty-print with
+//                           tools/adsd_obs)
 //         --postmortem <file>  arm the solve flight recorder: on deadline
 //                           overrun, solver exception, or a fatal signal,
 //                           dump the recent-solve ring to <file> as
@@ -68,11 +66,10 @@
 //         --obs-dir <dir>   unified observability bundle: mint a run_id,
 //                           arm every recorder, and write log.jsonl,
 //                           trace.json, report.json, qor.json,
-//                           metrics.prom, metrics.json, and flight.json
-//                           under <dir>/<run_id>/ — every
-//                           artifact stamped with the same run_id
-//                           (validate the join with tools/log_summary
-//                           --expect-run-id et al.)
+//                           metrics.prom, and flight.json under
+//                           <dir>/<run_id>/ — every artifact stamped
+//                           with the same run_id (validate the join with
+//                           tools/adsd_obs <file> --expect-run-id <id>)
 //         --budget <s>      wall-clock budget in seconds for the whole
 //                           decompose; anytime solvers stop at the
 //                           deadline, and with --postmortem the overrun
@@ -274,8 +271,8 @@ int cmd_decompose(const CliArgs& args) {
       {"function", "hex", "pla", "n", "m", "free", "shared", "mode",
        "solver", "p", "rounds", "seed", "replicas", "kernel", "pack",
        "ilp-budget", "threads", "trace", "report", "qor", "metrics",
-       "metrics-format", "postmortem", "log-level", "log-file", "obs-dir",
-       "budget", "dist", "verilog", "testbench", "hex-out"});
+       "postmortem", "log-level", "log-file", "obs-dir", "budget", "dist",
+       "verilog", "testbench", "hex-out"});
   const TruthTable exact = load_table(args);
   const unsigned n = exact.num_inputs();
   const unsigned m = exact.num_outputs();
