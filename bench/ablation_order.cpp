@@ -15,9 +15,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  bench::reject_unknown_flags(
+  bench::reject_unknown_options(
       args, "ablation_order",
-      {"n", "free", "instances"});
+      {"n", "free", "instances", "seed"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));

@@ -154,19 +154,30 @@ inline bool is_harness_flag(std::string_view token) {
 }
 
 /// Exits with status 2 and a message naming the option when argv holds
-/// one that is neither a shared harness flag nor one of the harness's
-/// `own` keys, so a misspelled or removed flag fails instead of running
-/// the default suite.
-inline void reject_unknown_flags(const CliArgs& args,
-                                 const std::string& harness,
-                                 std::vector<std::string> own) {
-  own.insert(own.end(), harness_flags().begin(), harness_flags().end());
+/// one outside `known`, so a misspelled or removed flag fails instead of
+/// running the default suite. The harnesses that build no RunContext call
+/// this directly with their own keys and "seed": they write no recorder
+/// artifact, so --trace, --metrics, --obs-dir and the rest are refused
+/// rather than silently ignored.
+inline void reject_unknown_options(const CliArgs& args,
+                                   const std::string& harness,
+                                   const std::vector<std::string>& known) {
   try {
-    args.reject_unknown(harness, own);
+    args.reject_unknown(harness, known);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     std::exit(2);
   }
+}
+
+/// reject_unknown_options over the shared harness flags and the harness's
+/// `own` keys, for the harnesses that run through context_options and
+/// write_run_artifacts.
+inline void reject_unknown_flags(const CliArgs& args,
+                                 const std::string& harness,
+                                 std::vector<std::string> own) {
+  own.insert(own.end(), harness_flags().begin(), harness_flags().end());
+  reject_unknown_options(args, harness, own);
 }
 
 /// Removes the harness flags (both "--flag=value" and detached

@@ -13,9 +13,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  bench::reject_unknown_flags(
+  bench::reject_unknown_options(
       args, "ext_nondisjoint",
-      {"n", "free", "max-shared", "p"});
+      {"n", "free", "max-shared", "p", "seed"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));

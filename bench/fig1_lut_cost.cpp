@@ -12,9 +12,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  bench::reject_unknown_flags(
+  bench::reject_unknown_options(
       args, "fig1_lut_cost",
-      {"n", "free", "p", "rounds"});
+      {"n", "free", "p", "rounds", "seed"});
 
   std::cout << "== Figure 1: LUT size reduction from disjoint decomposition "
                "==\n\n";

@@ -13,7 +13,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  bench::reject_unknown_flags(args, "sweep_partitions", {"n"});
+  bench::reject_unknown_options(
+      args, "sweep_partitions",
+      {"n", "seed"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const std::uint64_t seed = args.get_size("seed", 42);
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
     params.seed = seed;
     const auto rp = run_dalta(exact, dist, params, *prop);
     const auto rg = run_dalta(exact, dist, params, *greedy);
-    // BDD multiplicity screening: same solver budget, 4x candidate pool.
+    // Column-multiplicity screening: same solver budget, 4x candidate pool.
     DaltaParams screened = params;
     screened.screen_factor = 4;
     const auto rs = run_dalta(exact, dist, screened, *prop);

@@ -12,9 +12,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  bench::reject_unknown_flags(
+  bench::reject_unknown_options(
       args, "table1_separate",
-      {"n", "m", "free", "p", "rounds", "ilp-budget"});
+      {"n", "m", "free", "p", "rounds", "ilp-budget", "seed"});
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned m = static_cast<unsigned>(args.get_size("m", n));

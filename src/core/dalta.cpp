@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -64,9 +65,16 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
   if (params.num_partitions == 0 || params.rounds == 0) {
     throw std::invalid_argument("run_dalta: need partitions and rounds >= 1");
   }
+  if (params.screen_factor >
+      std::numeric_limits<std::size_t>::max() / params.num_partitions) {
+    throw std::invalid_argument(
+        "run_dalta: screen_factor * num_partitions overflows");
+  }
 
   Timer timer;
   TraceRecorder* tracer = ctx.tracer();
+  // Screening and the looped candidate evaluation fan out on the pool.
+  const bool fan_out = ctx.parallel() && params.parallel;
   const TraceSpan run_trace(tracer, "dalta/run");
   const std::uint64_t patterns = exact.num_patterns();
 
@@ -117,8 +125,9 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
       if (oversample > params.num_partitions) {
         const TraceSpan screen_trace(tracer, "dalta/screen");
         const PartitionScreener screener(exact.output(k), n);
-        candidates_w =
-            screener.screen(std::move(candidates_w), params.num_partitions);
+        candidates_w = screener.screen(std::move(candidates_w),
+                                       params.num_partitions,
+                                       fan_out ? &ctx.pool() : nullptr);
         qor_add(ctx.qor(), "dalta/partitions_screened",
                 static_cast<double>(oversample - params.num_partitions));
         if (MetricsRegistry* met = ctx.metrics()) {
@@ -196,8 +205,7 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
           cand.stats.objective = cops[p].objective(cand.setting);
           candidates[p] = std::move(cand);
         }
-      } else if (ctx.parallel() && params.parallel &&
-                 params.num_partitions > 1) {
+      } else if (fan_out && params.num_partitions > 1) {
         ctx.pool().parallel_for(params.num_partitions, evaluate);
       } else {
         for (std::size_t p = 0; p < params.num_partitions; ++p) {

@@ -28,7 +28,7 @@ struct DaltaParams {
   /// Evaluate the P candidate partitions of one output concurrently.
   bool parallel = true;
 
-  /// BDD-multiplicity partition screening (extension; see
+  /// Column-multiplicity partition screening (extension; see
   /// core/partition_screen.hpp): when > 1, sample `screen_factor * P`
   /// random partitions and keep the P of lowest column multiplicity before
   /// spending solver time. 1 disables screening (the paper's behaviour).

@@ -82,6 +82,16 @@ TEST(HarnessFlags, RejectUnknownFlagsAcceptsSharedAndOwnKeys) {
   SUCCEED();
 }
 
+TEST(HarnessFlagsDeathTest, RejectUnknownOptionsRefusesSharedFlags) {
+  // A harness without a RunContext lists only its own keys and "seed":
+  // a recorder flag exits 2 naming it instead of writing nothing.
+  const char* argv[] = {"prog", "--n", "6", "--seed=7", "--trace", "t.json"};
+  const CliArgs args(static_cast<int>(std::size(argv)), argv);
+  EXPECT_EXIT(bench::reject_unknown_options(args, "prog", {"n", "seed"}),
+              ::testing::ExitedWithCode(2),
+              "prog does not take option '--trace'");
+}
+
 TEST(BenchReport, WritesSchemaV2WithHostAndRecords) {
   bench::BenchReport report("unit_test");
   report.add_time("kernels/BM_X", 1.25);

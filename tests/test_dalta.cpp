@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "boolean/decomposition.hpp"
 #include "boolean/error_metrics.hpp"
@@ -232,6 +233,11 @@ TEST(Dalta, RejectsBadParameters) {
   params.num_partitions = 0;
   EXPECT_THROW((void)run_dalta(exact, dist, params, solver),
                std::invalid_argument);
+  params = small_params(DecompMode::kJoint);
+  params.screen_factor = std::numeric_limits<std::size_t>::max() / 2;
+  EXPECT_THROW((void)run_dalta(exact, dist, params, solver),
+               std::invalid_argument)
+      << "an oversample that wraps must fail, not shrink the candidate list";
   const auto dist5 = InputDistribution::uniform(5);
   EXPECT_THROW(
       (void)run_dalta(exact, dist5, small_params(DecompMode::kJoint), solver),

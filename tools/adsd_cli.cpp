@@ -20,6 +20,10 @@
 //                           prop | "prop,replicas=4" | "ilp,budget=1.5"
 //                           (see `adsd_cli info` for names and keys)
 //         --p/--rounds/--seed   framework knobs
+//         --screen-factor <f>  sample f * P candidate partitions per
+//                           output, rank them by column multiplicity and
+//                           solve the best P (>= 1; default 1, no
+//                           screening; disjoint decomposition only)
 //         --replicas <r>    lockstep bSB replicas for the prop solver
 //                           (>= 1; shorthand for the replicas config key)
 //         --kernel <k>      force kernel for the prop solver:
@@ -269,10 +273,10 @@ int cmd_decompose(const CliArgs& args) {
   args.reject_unknown(
       "decompose",
       {"function", "hex", "pla", "n", "m", "free", "shared", "mode",
-       "solver", "p", "rounds", "seed", "replicas", "kernel", "pack",
-       "ilp-budget", "threads", "trace", "report", "qor", "metrics",
-       "postmortem", "log-level", "log-file", "obs-dir", "budget", "dist",
-       "verilog", "testbench", "hex-out"});
+       "solver", "p", "rounds", "seed", "screen-factor", "replicas",
+       "kernel", "pack", "ilp-budget", "threads", "trace", "report", "qor",
+       "metrics", "postmortem", "log-level", "log-file", "obs-dir", "budget",
+       "dist", "verilog", "testbench", "hex-out"});
   const TruthTable exact = load_table(args);
   const unsigned n = exact.num_inputs();
   const unsigned m = exact.num_outputs();
@@ -280,6 +284,11 @@ int cmd_decompose(const CliArgs& args) {
 
   const auto free_size = static_cast<unsigned>(args.get_size("free", 4));
   const auto shared = static_cast<unsigned>(args.get_size("shared", 0));
+  const std::size_t screen_factor = args.get_positive_size("screen-factor", 1);
+  if (screen_factor > 1 && shared > 0) {
+    throw std::invalid_argument(
+        "--screen-factor applies to disjoint decomposition (--shared 0)");
+  }
   const std::string mode_name = args.get_string("mode", "joint");
   const DecompMode mode =
       mode_name == "separate" ? DecompMode::kSeparate : DecompMode::kJoint;
@@ -309,6 +318,7 @@ int cmd_decompose(const CliArgs& args) {
     params.rounds = args.get_size("rounds", 1);
     params.mode = mode;
     params.seed = args.get_size("seed", 42);
+    params.screen_factor = screen_factor;
     const auto res = run_dalta(exact, dist, params, *solver, ctx);
     approx = res.approx;
     seconds = res.seconds;
